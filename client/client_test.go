@@ -23,6 +23,7 @@ type fakeDaemon struct {
 	mu     sync.Mutex
 	ops    []byte
 	conns  []net.Conn
+	killed bool
 	handle func(req clientproto.Request, conn net.Conn) *clientproto.Response // nil response = close conn
 }
 
@@ -51,6 +52,7 @@ func (f *fakeDaemon) kill() {
 	_ = f.ln.Close()
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.killed = true
 	for _, c := range f.conns {
 		_ = c.Close()
 	}
@@ -63,6 +65,12 @@ func (f *fakeDaemon) serve() {
 			return
 		}
 		f.mu.Lock()
+		if f.killed {
+			// Accepted just before kill closed the listener: it dies too.
+			f.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
 		f.conns = append(f.conns, conn)
 		f.mu.Unlock()
 		go func() {

@@ -69,7 +69,7 @@ func experiments() []experiment {
 			return harness.C2SymVsAsym([]int{3, 5, 9, 17})
 		}},
 		{"C3", "§4.3 send blocking by asymmetric share", harness.C3SendBlocking},
-		{"C4", "§4.1 time-silence null overhead", harness.C4TimeSilence},
+		{"C4", "§4.1 null overhead (prompt + time-silence)", harness.C4TimeSilence},
 		{"C5", "§5.3 group formation cost", func() (*harness.Table, error) {
 			return harness.C5Formation([]int{3, 5, 9, 17, 33})
 		}},

@@ -28,6 +28,10 @@ func BenchmarkEngineHandleMessage(b *testing.B) { perf.EngineHandleMessage(b) }
 // own-message lifecycle with the message arena on.
 func BenchmarkEngineArenaCycle(b *testing.B) { perf.EngineArenaCycle(b) }
 
+// BenchmarkEnginePromptNull measures answering a peer's data message with
+// a prompt null (HandleMessage, then Flush) with the message arena on.
+func BenchmarkEnginePromptNull(b *testing.B) { perf.EnginePromptNull(b) }
+
 // BenchmarkRingDisseminateN9 measures 16 KiB ring dissemination into a
 // 9-member group.
 func BenchmarkRingDisseminateN9(b *testing.B) { perf.RingDisseminateN9(b) }

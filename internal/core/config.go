@@ -145,7 +145,7 @@ func (cfg Config) withDefaults() Config {
 // them across processes for the experiment tables.
 type Stats struct {
 	DataSent      uint64 // application multicasts initiated
-	NullsSent     uint64 // time-silence null messages multicast
+	NullsSent     uint64 // null messages multicast (time-silence and prompt)
 	SeqRequests   uint64 // asymmetric unicasts to sequencers
 	SeqMulticasts uint64 // multicasts performed as sequencer
 	CtrlSent      uint64 // membership/formation messages multicast

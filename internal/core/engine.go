@@ -77,6 +77,11 @@ type Engine struct {
 	// violating MD4'/MD5'.
 	queued []queuedSubmit
 
+	// owing is set when some symmetric group may owe a prompt null; Flush
+	// clears it. It keeps the Flush that follows every inbound burst free
+	// when nothing was received.
+	owing bool
+
 	// om holds the resolved observability handles (all nil without
 	// Config.Metrics); tracer is the sampled lifecycle tracer (may be nil).
 	om     engMetrics
@@ -296,6 +301,44 @@ func (e *Engine) Tick(now time.Time) []Effect {
 	e.begin()
 	for _, g := range e.sortedGroups() {
 		e.tickGroup(now, g)
+	}
+	return e.finish(now)
+}
+
+// Flush multicasts one prompt null in every active symmetric group where
+// this process has received a peer's data message numbered above its own
+// last message. Symmetric delivery of m waits until every member has sent
+// something numbered above m (§4.1); a quiet member would otherwise supply
+// that only with its time-silence null, up to ω + ω/2 later. ω bounds how
+// long a member may stay silent, so answering earlier is always allowed.
+//
+// Runtimes call Flush once they have handled the inbound messages that
+// were ready, so one null answers a whole burst. HandleMessage itself
+// never sends, which keeps the receive path allocation-free.
+//
+// A member answers only once it has heard from every other member of the
+// view. Until then the group is still starting and a peer may not be
+// listening yet: a null the peer misses leaves a gap in this member's
+// sequence, which the peer takes for a transport loss and answers with a
+// suspicion (onDataPlane). Time-silence paces that first round; the debt
+// is paid at the first Flush after the last member is heard from.
+func (e *Engine) Flush(now time.Time) []Effect {
+	if !e.owing {
+		return nil
+	}
+	e.begin()
+	e.owing = false
+	for _, gs := range e.sortedGroups() {
+		// Only active symmetric groups record a debt (onDataPlane).
+		self := gs.memberIndex(e.cfg.Self)
+		if self < 0 || gs.owedNum <= gs.mem[self].rv {
+			continue
+		}
+		if !gs.heardFromAll(self) {
+			e.owing = true
+			continue
+		}
+		e.sendNull(now, gs)
 	}
 	return e.finish(now)
 }

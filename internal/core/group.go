@@ -113,6 +113,12 @@ type groupState struct {
 
 	lastSent time.Time // time-silence input (§4.1)
 
+	// owedNum is the highest number of a peer's data message this member
+	// has received in a symmetric group; while it is above the member's
+	// own last number, the member owes the group a prompt null (see
+	// Engine.Flush). Nulls never raise it, so nulls cannot ping-pong.
+	owedNum types.MsgNum
+
 	mySeq    uint64 // seq counter for my direct multicasts
 	myReqSeq uint64 // seq counter for my sequencer requests (asymmetric)
 
@@ -210,6 +216,18 @@ func (g *groupState) memberIndex(p types.ProcessID) int {
 		return lo
 	}
 	return -1
+}
+
+// heardFromAll reports whether this process has received at least one
+// data-plane message from every view member other than the one at index
+// self (every such receive-vector entry is above zero).
+func (g *groupState) heardFromAll(self int) bool {
+	for i := range g.mem {
+		if i != self && g.mem[i].rv == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // isRemoved reports whether p was ever excluded from a view of this group.

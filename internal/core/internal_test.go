@@ -76,6 +76,13 @@ func TestMsgLogCountAboveAndDrop(t *testing.T) {
 	if got := l.countAbove(3, 30); got != 3 {
 		t.Errorf("countAbove = %d, want 3", got)
 	}
+	// Nulls are not part of the flow-controlled backlog.
+	null := msg(3, 3, 70, 7)
+	null.Kind = types.KindNull
+	l.add(null)
+	if got := l.countAbove(3, 30); got != 3 {
+		t.Errorf("countAbove with a null above = %d, want 3", got)
+	}
 	if got := l.countAbove(9, 0); got != 0 {
 		t.Errorf("countAbove unknown origin = %d, want 0", got)
 	}

@@ -120,12 +120,20 @@ func (l *msgLog) dropOrigin(origin types.ProcessID) {
 	delete(l.byOrigin, origin)
 }
 
-// countAbove returns how many retained messages from origin have Num > n.
-// Flow control uses it to bound a sender's unstable backlog.
+// countAbove returns how many retained data messages from origin have
+// Num > n. Flow control uses it to bound a sender's unstable backlog of
+// application messages. Nulls do not count: a member sends them on its own
+// schedule, so with a small window its unstable nulls alone could hold the
+// window shut for good.
 func (l *msgLog) countAbove(origin types.ProcessID, n types.MsgNum) int {
 	s := l.byOrigin[origin]
-	i := sort.Search(len(s), func(i int) bool { return s[i].Num > n })
-	return len(s) - i
+	c := 0
+	for _, m := range s[sort.Search(len(s), func(i int) bool { return s[i].Num > n }):] {
+		if m.Kind == types.KindData {
+			c++
+		}
+	}
+	return c
 }
 
 // len returns the total number of retained messages.

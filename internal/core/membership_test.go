@@ -53,10 +53,15 @@ func TestDiscardDuringPartition(t *testing.T) {
 	}
 	c.Run(100 * time.Millisecond)
 
-	// P1 stops hearing P4; P4's burst reaches P2/P3/P5 but is not
-	// deliverable there (P1's receive vector pins D below the burst), so
-	// it sits in their delivery queues.
+	// P1 stops hearing P4, and P1–P3 stop hearing P5; P4's burst reaches
+	// P2/P3/P5 but is not deliverable there (P1's receive vector pins D
+	// below the burst), so it sits in their delivery queues. P5's links
+	// are cut so that its prompt null, which would carry the burst past
+	// P1's gate within one hop, cannot reach the survivors-to-be.
 	c.Disconnect(4, 1)
+	c.CutOneWay(5, 1)
+	c.CutOneWay(5, 2)
+	c.CutOneWay(5, 3)
 	for i := 0; i < 5; i++ {
 		if err := c.Submit(4, 1, []byte(fmt.Sprintf("doomed-%d", i))); err != nil {
 			t.Fatal(err)

@@ -173,6 +173,11 @@ func (e *Engine) onDataPlane(now time.Time, gs *groupState, si int, m *types.Mes
 			if m.Origin == e.cfg.Self {
 				e.ackOwnRequest(gs, m.Seq)
 			}
+		} else if m.Sender != e.cfg.Self && gs.mode == Symmetric && gs.status == statusActive && m.Num > gs.owedNum {
+			// A peer's data: this member owes the group a prompt null
+			// (Flush) until its own next message is numbered above m.
+			gs.owedNum = m.Num
+			e.owing = true
 		}
 		if e.tracer.Sampled(m.Num) {
 			key := obs.TraceKey{Group: m.Group, Origin: m.Origin, Num: m.Num}

@@ -26,8 +26,10 @@ func (e *Engine) submitBlock(gs *groupState) blockReason {
 	// Send Blocking / Mixed-mode Blocking Rule: a multi-group process
 	// must delay unicasting or multicasting m until every previous m'
 	// with m'.g ≠ m.g that it unicast has come back from its sequencer.
-	// Null messages are exempt: they are never delivered, so they cannot
-	// violate delivery causality (see DESIGN.md).
+	// Null messages — time-silence nulls from Tick and prompt nulls from
+	// Flush alike — are exempt: they are never delivered, so they cannot
+	// violate delivery causality; they only advance clocks and receive
+	// vectors (§4.1). That is why sendNull bypasses this check.
 	for _, other := range e.groups {
 		if other.id != gs.id && len(other.pendingReqs) > 0 {
 			return blockRule
@@ -188,9 +190,10 @@ func (e *Engine) allocOwn(gs *groupState, queued bool) *types.Message {
 	return m
 }
 
-// sendNull multicasts a time-silence null message in gs (§4.1). Nulls
-// carry only protocol information; they advance clocks and receive vectors
-// but are never delivered.
+// sendNull multicasts a null message in gs: a time-silence null (§4.1,
+// from Tick) or a prompt null (from Flush). Nulls carry only protocol
+// information; they advance clocks and receive vectors but are never
+// delivered.
 func (e *Engine) sendNull(now time.Time, gs *groupState) {
 	num := e.lc.TickSend()
 	gs.mySeq++

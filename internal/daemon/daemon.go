@@ -129,7 +129,9 @@ type Config struct {
 	DialTimeout  time.Duration
 	DialBackoff  time.Duration
 	WriteTimeout time.Duration
-	FlushWindow  time.Duration
+	// FlushWindow is the per-peer sender's batching wait; zero (the
+	// default) writes without waiting (see newtop.Config.FlushWindow).
+	FlushWindow time.Duration
 
 	// RingThreshold and RingPullAfter configure ring payload
 	// dissemination, passed through to newtop.Config: payloads at or

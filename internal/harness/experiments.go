@@ -178,13 +178,15 @@ func C3SendBlocking() (*Table, error) {
 }
 
 // C4TimeSilence measures the null-message overhead of the time-silence
-// mechanism (§4.1) as a function of ω and the application traffic rate.
+// mechanism (§4.1) and of prompt nulls as a function of ω and the
+// application traffic rate.
 func C4TimeSilence() (*Table, error) {
 	t := &Table{
-		Title:   "C4 — time-silence null overhead (n=5 symmetric, 20 msgs/member)",
+		Title:   "C4 — null overhead: prompt and time-silence nulls (n=5 symmetric, 20 msgs/member)",
 		Columns: []string{"ω(ms)", "spacing(ms)", "nulls/data", "mean lat(ms)"},
 		Notes: []string{
-			"busy senders suppress nulls (any send resets the ω timer); idle groups pay ~1 null per ω per member",
+			"each receiver answers a burst of peer data with one prompt null, so after the first round latency is a round trip whatever ω is",
+			"idle groups pay ~1 time-silence null per ω per member; any send resets the ω timer",
 		},
 	}
 	for _, omega := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond} {

@@ -490,33 +490,22 @@ func (n *Node) loop() {
 			if !ok {
 				return
 			}
-			n.noteInbound(in.From, in.Msg.Group)
-			if n.rng != nil {
-				// Ring path: relay outbounds may alias the borrowed
-				// transport buffer, and the endpoint marshals frames
-				// during Send — so relays go out before the buffer is
-				// released, zero copies. Whatever the ring releases to
-				// the engine owns its memory already.
-				outs, delivers := n.rng.OnReceive(n.clk.Now(), in.From, in.Msg)
-				for _, o := range outs {
-					n.sendInc(o.Msg.Group)
-					_ = n.ep.Send(o.To, o.Msg)
+			n.receive(in)
+			// Handle whatever else is ready, then answer the burst: one
+			// prompt null per symmetric group owed one (Engine.Flush).
+		burst:
+			for i := 1; i < maxBurst; i++ {
+				select {
+				case in, ok := <-n.ep.Recv():
+					if !ok {
+						return
+					}
+					n.receive(in)
+				default:
+					break burst
 				}
-				in.Release()
-				n.ringQ = append(n.ringQ, delivers...)
-				n.apply(nil)
-				continue
 			}
-			// The engine retains stimuli (data messages sit in its log
-			// until stability), so a borrowed message is sealed — its
-			// payload copied out of the transport buffer — before the
-			// buffer reference goes back. This is the single copy left on
-			// the receive path.
-			if in.Buf != nil {
-				in.Msg.Own()
-				in.Release()
-			}
-			n.apply(n.eng.HandleMessage(n.clk.Now(), in.From, in.Msg))
+			n.apply(n.eng.Flush(n.clk.Now()))
 		case <-timer:
 			now := n.clk.Now()
 			n.apply(n.eng.Tick(now))
@@ -530,6 +519,40 @@ func (n *Node) loop() {
 			timer = n.clk.After(n.tick)
 		}
 	}
+}
+
+// maxBurst bounds how many ready inbound messages the loop handles before
+// it flushes prompt nulls and lets timers and calls in.
+const maxBurst = 64
+
+// receive hands one inbound message to the ring layer or the engine.
+func (n *Node) receive(in transport.Inbound) {
+	n.noteInbound(in.From, in.Msg.Group)
+	if n.rng != nil {
+		// Ring path: relay outbounds may alias the borrowed transport
+		// buffer, and the endpoint marshals frames during Send — so
+		// relays go out before the buffer is released, zero copies.
+		// Whatever the ring releases to the engine owns its memory
+		// already.
+		outs, delivers := n.rng.OnReceive(n.clk.Now(), in.From, in.Msg)
+		for _, o := range outs {
+			n.sendInc(o.Msg.Group)
+			_ = n.ep.Send(o.To, o.Msg)
+		}
+		in.Release()
+		n.ringQ = append(n.ringQ, delivers...)
+		n.apply(nil)
+		return
+	}
+	// The engine retains stimuli (data messages sit in its log until
+	// stability), so a borrowed message is sealed — its payload copied
+	// out of the transport buffer — before the buffer reference goes
+	// back. This is the single copy left on the receive path.
+	if in.Buf != nil {
+		in.Msg.Own()
+		in.Release()
+	}
+	n.apply(n.eng.HandleMessage(n.clk.Now(), in.From, in.Msg))
 }
 
 // apply routes one engine effects batch, then feeds the engine whatever

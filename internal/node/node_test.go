@@ -515,3 +515,34 @@ func TestNodeGroupSendsStopAfterLeave(t *testing.T) {
 		t.Errorf("left group still sending: %d -> %d", base, got)
 	}
 }
+
+func TestNodePromptNullsDeliverWithoutWaitingForOmega(t *testing.T) {
+	// With ω = 10s no time-silence null fires during the test: only the
+	// receivers' prompt nulls (Engine.Flush after each inbound burst) can
+	// carry the multicasts past the symmetric delivery gate. Every node
+	// sends once, so each hears from all the others and answers; the
+	// pauses let each send witness the previous ones, so the last one is
+	// numbered above every other node's messages.
+	_, nodes := newTrio(t, func(cfg *core.Config) { cfg.Omega = 10 * time.Second })
+	for _, n := range nodes {
+		if err := n.BootstrapGroup(1, core.Symmetric, members(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range nodes {
+		if err := n.Submit(1, []byte(n.Self().String())); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	deadline := time.After(2 * time.Second)
+	for _, n := range nodes {
+		for i := 0; i < len(nodes); i++ {
+			select {
+			case <-n.Deliveries():
+			case <-deadline:
+				t.Fatalf("%v delivered %d of %d within 2s (ω = 10s): no prompt null", n.Self(), i, len(nodes))
+			}
+		}
+	}
+}

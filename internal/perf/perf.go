@@ -228,6 +228,59 @@ func EngineArenaCycle(b *testing.B) {
 	}
 }
 
+// EnginePromptNull drives the prompt-null send path with the message
+// arena on, as internal/node runs the engine: per iteration a peer's data
+// message arrives, Flush answers it with one null, and a third member's
+// null lets the data deliver and stability advance, so log GC recycles
+// the own null's arena slot. allocs/op is the steady-state heap cost of
+// answering one inbound burst.
+func EnginePromptNull(b *testing.B) {
+	e := core.NewEngine(core.Config{Self: 1, Omega: time.Hour, MessageArena: true})
+	now := sim.Epoch
+	if _, err := e.BootstrapGroup(now, 1, core.Symmetric, []types.ProcessID{1, 2, 3}); err != nil {
+		b.Fatal(err)
+	}
+	payload := payloads[0]
+	// Peer messages are engine-retained until stable, a couple of
+	// iterations; the pool is far wider than that lag.
+	const slots = 256
+	pool := make([]types.Message, 2*slots)
+	nullNum := func(effs []core.Effect) types.MsgNum {
+		for _, eff := range effs {
+			if s, ok := eff.(core.SendEffect); ok && s.Msg.Kind == types.KindNull {
+				return s.Msg.Num
+			}
+		}
+		b.Fatal("Flush sent no null")
+		return 0
+	}
+	// P1 answers only once it has heard from every member: P3's first
+	// time-silence null comes before the timed loop.
+	e.HandleMessage(now, 3, &types.Message{Kind: types.KindNull, Group: 1, Sender: 3, Origin: 3, Num: 1, Seq: 1})
+	var seq uint64
+	num := types.MsgNum(1) // highest number so far: P1's last null
+	var ldn types.MsgNum   // P2's delivery gate, carried on its data
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq++
+		d := &pool[(i%slots)*2]
+		n3 := &pool[(i%slots)*2+1]
+		*d = types.Message{Kind: types.KindData, Group: 1, Sender: 2, Origin: 2, Num: num + 2, Seq: seq, LDN: ldn, Payload: payload}
+		e.HandleMessage(now, 2, d)
+		ldn, num = num, nullNum(e.Flush(now))
+		*n3 = types.Message{Kind: types.KindNull, Group: 1, Sender: 3, Origin: 3, Num: num + 1, Seq: seq + 1, LDN: num}
+		e.HandleMessage(now, 3, n3)
+	}
+	b.StopTimer()
+	if got := e.Stats().Delivered; got != uint64(b.N) {
+		b.Fatalf("delivered %d of %d", got, b.N)
+	}
+	if l := e.LogSize(1); l > 16 {
+		b.Fatalf("log holds %d messages after %d iterations: stability stalled", l, b.N)
+	}
+}
+
 // MembershipAgreement measures a full crash-to-view-change cycle.
 func MembershipAgreement(b *testing.B) {
 	for i := 0; i < b.N; i++ {

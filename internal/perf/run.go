@@ -57,6 +57,7 @@ var benchmarks = []struct {
 	{"EngineAtomicN9", func(b *testing.B) { EngineThroughput(b, 9, core.Atomic) }},
 	{"EngineHandleMessage", EngineHandleMessage},
 	{"EngineArenaCycle", EngineArenaCycle},
+	{"EnginePromptNull", EnginePromptNull},
 	{"MetricsHotPath", MetricsHotPath},
 	{"RingDisseminateN9", RingDisseminateN9},
 	{"MembershipAgreement", MembershipAgreement},
@@ -131,6 +132,9 @@ var DefaultGateChecks = []GateCheck{
 	// a ±1 wobble on a ~23-alloc baseline, nothing more.
 	{Name: "EngineSymmetricN9", Metric: "allocs/op", Factor: 1.1},
 	{Name: "EngineArenaCycle", Metric: "allocs/op", Factor: 1.5},
+	// Answering an inbound burst with a prompt null recycles the null
+	// through the arena; factor 1 fails CI on any new allocation there.
+	{Name: "EnginePromptNull", Metric: "allocs/op", Factor: 1},
 	{Name: "RingDisseminateN9", Metric: "allocs/op", Factor: 2},
 	// The metrics hot path is allocation-free by construction; with a
 	// 0-alloc baseline, factor 1 means ANY steady-state allocation in a

@@ -498,7 +498,17 @@ func (c *Cluster) dispatch(ev event) {
 		// by a process that crashed afterwards still arrives — crash-stop
 		// interrupts future sends, not messages in flight (the paper's
 		// partial multicast is modelled by CrashAfterSends).
-		if c.crashed[ev.to] || c.cut[[2]types.ProcessID{ev.from, ev.to}] {
+		if c.crashed[ev.to] {
+			if ev.encBuf != nil {
+				ev.encBuf.Release()
+			}
+			return
+		}
+		// The receiver answers its inbound burst with prompt nulls once
+		// every arrival due at this instant has been handled — the point
+		// at which internal/node flushes.
+		defer c.flush(ev.to)
+		if c.cut[[2]types.ProcessID{ev.from, ev.to}] {
 			if ev.encBuf != nil {
 				ev.encBuf.Release()
 			}
@@ -542,6 +552,22 @@ func (c *Cluster) dispatch(ev event) {
 		}
 		c.route(ev.to, e.HandleMessage(c.now, ev.from, m))
 	}
+}
+
+// flush calls p's Engine.Flush unless another arrival for p is due at
+// this same instant: like a runtime draining its ready inbound messages
+// first, the burst is answered once.
+func (c *Cluster) flush(p types.ProcessID) {
+	if c.crashed[p] {
+		return
+	}
+	if len(c.cal.h) > 0 {
+		next := &c.cal.h[0]
+		if next.to == p && !next.tick && next.fn == nil && next.at.Equal(c.now) {
+			return
+		}
+	}
+	c.route(p, c.engines[p].Flush(c.now))
 }
 
 // route applies the effects produced by process p, honouring an armed

@@ -17,11 +17,13 @@ import (
 // protocol's lossy-but-FIFO link model.
 //
 // Sends are batched: every drain takes the whole queue and writes it as
-// one buffered syscall, and a small flush window lets a burst accumulate
-// before the first drain. Newtop's traffic is bursty by construction — a
-// multicast fan-out per stimulus, chunked snapshot streams, refute
-// piggybacks — so coalescing turns a syscall per message into a syscall
-// per burst (see the TCPSendRecv* rows of BENCH_core.json).
+// one buffered syscall, so whatever queues while a write is in progress
+// rides in the next one; an optional flush window (Config.FlushWindow)
+// lets a burst accumulate before the first drain. Newtop's traffic is
+// bursty by construction — a multicast fan-out per stimulus, chunked
+// snapshot streams, refute piggybacks — so coalescing turns a syscall per
+// message into a syscall per burst (see the TCPSendRecv* rows of
+// BENCH_core.json).
 //
 // Frames are marshalled at enqueue time, inside the caller's Send: the
 // sender never retains a *types.Message, so a caller may hand it messages
@@ -102,7 +104,7 @@ func (ps *peerSender) run() {
 
 		// Flush window: give the rest of the burst a moment to arrive so
 		// it rides in the same write.
-		if w := ps.ep.flushWindow(); w > 0 {
+		if w := ps.ep.cfg.FlushWindow; w > 0 {
 			time.Sleep(w)
 		}
 

@@ -53,9 +53,11 @@ type Config struct {
 	WriteTimeout time.Duration
 	// FlushWindow is how long a sender waits after the first queued
 	// message for the rest of the burst, so the whole burst goes out in
-	// one framed write (default 50µs; negative disables the wait — queue
-	// backlog still coalesces). It trades that much first-message latency
-	// for one syscall per burst instead of one per message.
+	// one framed write. Zero (the default) or negative means no wait: the
+	// sender writes as soon as it wakes, and whatever queued meanwhile
+	// still coalesces into its next write. A positive window trades that
+	// much first-message latency (plus the timer's overshoot, often far
+	// more than the window itself) for fewer syscalls per burst.
 	FlushWindow time.Duration
 	// Metrics, when set, receives the endpoint's observability series
 	// (batch/dial counters, frames-per-write histogram, labeled drop
@@ -99,9 +101,6 @@ func New(cfg Config) (*Endpoint, error) {
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 5 * time.Second
 	}
-	if cfg.FlushWindow == 0 {
-		cfg.FlushWindow = 50 * time.Microsecond
-	}
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet listen: %w", err)
@@ -128,14 +127,6 @@ func New(cfg Config) (*Endpoint, error) {
 
 // Addr returns the actual listen address (useful with ":0").
 func (ep *Endpoint) Addr() string { return ep.ln.Addr().String() }
-
-// flushWindow returns the effective batching wait (0 when disabled).
-func (ep *Endpoint) flushWindow() time.Duration {
-	if ep.cfg.FlushWindow < 0 {
-		return 0
-	}
-	return ep.cfg.FlushWindow
-}
 
 // BatchStats reports how many framed writes this endpoint has issued and
 // how many frames they carried — frames/writes is the realised batching

@@ -14,7 +14,15 @@ import (
 // newPair starts two endpoints on loopback that know each other's address.
 func newPair(t *testing.T) (*Endpoint, *Endpoint) {
 	t.Helper()
-	a, err := New(Config{Self: 1, ListenAddr: "127.0.0.1:0"})
+	return newPairWith(t, Config{})
+}
+
+// newPairWith is newPair with acfg (Self and ListenAddr filled in) as the
+// sender-side configuration, fixed before the endpoint starts.
+func newPairWith(t *testing.T, acfg Config) (*Endpoint, *Endpoint) {
+	t.Helper()
+	acfg.Self, acfg.ListenAddr = 1, "127.0.0.1:0"
+	a, err := New(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +202,8 @@ func TestPeerRestartReconnects(t *testing.T) {
 }
 
 func TestBurstCoalescesIntoFewWrites(t *testing.T) {
-	a, b := newPair(t)
-	a.cfg.FlushWindow = 2 * time.Millisecond // generous window: the whole burst batches
+	// A generous window: the whole burst batches.
+	a, b := newPairWith(t, Config{FlushWindow: 2 * time.Millisecond})
 	const count = 200
 	for i := 1; i <= count; i++ {
 		if err := a.Send(2, msg(1, uint64(i), "burst")); err != nil {
@@ -208,7 +216,13 @@ func TestBurstCoalescesIntoFewWrites(t *testing.T) {
 			t.Fatalf("out of order under batching: got %d, want %d", in.Msg.Seq, i)
 		}
 	}
+	// The sender counts a batch after its write returns, so the receiver
+	// can see every frame before the last batch is counted: wait for it.
 	writes, frames := a.BatchStats()
+	for deadline := time.Now().Add(10 * time.Second); frames != count && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		writes, frames = a.BatchStats()
+	}
 	if frames != count {
 		t.Fatalf("framesSent = %d, want %d", frames, count)
 	}
@@ -219,8 +233,7 @@ func TestBurstCoalescesIntoFewWrites(t *testing.T) {
 }
 
 func TestNegativeFlushWindowDisablesWait(t *testing.T) {
-	a, b := newPair(t)
-	a.cfg.FlushWindow = -1
+	a, b := newPairWith(t, Config{FlushWindow: -1})
 	if err := a.Send(2, msg(1, 1, "immediate")); err != nil {
 		t.Fatal(err)
 	}

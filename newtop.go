@@ -148,9 +148,9 @@ type Config struct {
 	WriteTimeout time.Duration
 	// FlushWindow is how long a peer's sender waits after the first
 	// queued message for the rest of the burst, so the burst ships as
-	// one framed write (default 50µs; negative disables the wait —
-	// queue backlog still coalesces). It trades that much first-message
-	// latency for one syscall per burst.
+	// one framed write. Zero (the default) or negative means no wait;
+	// queue backlog still coalesces. A positive window trades that much
+	// first-message latency, plus timer overshoot, for fewer syscalls.
 	FlushWindow time.Duration
 
 	// Omega is the time-silence interval ω (§4.1): how long a process
