@@ -1,6 +1,6 @@
 // Benchmarks regenerating every figure, worked example and comparative
-// claim of the Newtop paper (see DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured). Each benchmark runs the
+// claim of the Newtop paper (the experiment index is
+// internal/harness/experiments.go). Each benchmark runs the
 // corresponding harness experiment — a deterministic virtual-time
 // simulation — and reports the headline metric via b.ReportMetric, so the
 // series shape is visible straight from `go test -bench`.

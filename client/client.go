@@ -201,10 +201,7 @@ type Client struct {
 	mu     sync.Mutex
 	addrs  []endpoint // known endpoints: Dial arguments plus learned redirect hints
 	next   int        // round-robin cursor over addrs
-	conn   net.Conn   // pinned connection (nil between pins)
-	br     *bufio.Reader
-	pinned string // address of the pinned daemon ("" when unpinned)
-	fence  bool   // pin moved: upgrade the next read to a barrier read
+	pin    *pconn     // pinned connection (nil between pins)
 	closed bool
 	// closedCh is closed by Close so retry backoffs (which sleep without
 	// holding mu) unblock immediately instead of serving out their wait.
@@ -212,7 +209,8 @@ type Client struct {
 
 	// Shard routing, learned lazily from NOT_SERVING shard hints.
 	// shardArcs caches the hash arcs the session has been taught (all at
-	// shardEpoch); pool holds one routed connection per owner address.
+	// shardEpoch); pool holds one routed connection per owner address,
+	// beside the pin.
 	shardEpoch uint64
 	shardArcs  []routeArc
 	pool       map[string]*pconn
@@ -229,11 +227,13 @@ type routeArc struct {
 	addr   string
 }
 
-// pconn is one pooled routed connection. fence marks that the next read
-// over it must be barrier-upgraded (the connection is new, or the
-// session's writes may have moved groups since it last proved catch-up).
-// fence is only touched by the opMu holder; conn/br are published under
-// mu so Close can interrupt an in-flight exchange.
+// pconn is one connection to a daemon: the pin, or a routed connection
+// in the pool. fence marks that the next read over it must be
+// barrier-upgraded: the connection is new (every connection but the
+// Dial-time pin starts fenced), or the session's writes may have moved
+// groups since it last proved catch-up. fence is only touched by the
+// opMu holder; connections are published under mu so Close can interrupt
+// an in-flight exchange.
 type pconn struct {
 	addr  string
 	conn  net.Conn
@@ -287,9 +287,13 @@ func (cfg Config) Dial(addrs ...string) (*Client, error) {
 	}
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
-	if _, _, err := c.ensure(); err != nil {
+	pin, err := c.ensure()
+	if err != nil {
 		return nil, err
 	}
+	// Nothing was written before this pin: its first read needs no
+	// barrier.
+	pin.fence = false
 	return c, nil
 }
 
@@ -298,7 +302,10 @@ func (cfg Config) Dial(addrs ...string) (*Client, error) {
 func (c *Client) Pinned() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pinned
+	if c.pin == nil {
+		return ""
+	}
+	return c.pin.addr
 }
 
 // Endpoints returns every address the session knows (bootstrap set plus
@@ -342,9 +349,8 @@ func (c *Client) Close() error {
 		close(c.closedCh)
 	}
 	c.dropLocked()
-	for addr, pc := range c.pool {
-		_ = pc.conn.Close()
-		delete(c.pool, addr)
+	for _, pc := range c.pool {
+		c.closeConnLocked(pc)
 	}
 	return nil
 }
@@ -534,79 +540,38 @@ func (c *Client) do(req *clientproto.Request, idempotent bool, intended time.Tim
 			}
 			return clientproto.Response{}, fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
 		}
-		var (
-			conn net.Conn
-			br   *bufio.Reader
-			pc   *pconn // non-nil when shard-routed
-		)
-		if addr, grp, ok := c.routeFor(req); ok {
-			var err error
-			pc, err = c.ensurePooled(addr)
-			if err != nil {
-				if errors.Is(err, ErrClosed) {
-					return clientproto.Response{}, err
-				}
-				// The routed owner is unreachable: forget the route (and
-				// this group's learned endpoint) and fall back to the
-				// redirect path through the sweep — pausing first, so a
-				// dead owner plus a peer re-teaching its address cannot
-				// hot-loop the session through dial failures.
-				c.mu.Lock()
-				c.evictRouteLocked(addr)
-				c.noteDialFailedLocked(addr, grp)
-				c.mu.Unlock()
-				lastErr = err
-				if !c.sleep(c.cfg.RetryWait) {
-					return clientproto.Response{}, ErrClosed
-				}
-				continue
+		pc, err := c.connFor(req)
+		if err != nil {
+			if errors.Is(err, ErrClosed) {
+				return clientproto.Response{}, err
 			}
-			conn, br = pc.conn, pc.br
-		} else {
-			var err error
-			conn, br, err = c.ensure()
-			if err != nil {
-				if errors.Is(err, ErrClosed) {
-					return clientproto.Response{}, err
-				}
-				lastErr = err
-				// Every known endpoint refused a connection; pause before
-				// sweeping them again (a crashed daemon may be restarting).
-				if !c.sleep(c.cfg.RetryWait) {
-					return clientproto.Response{}, ErrClosed
-				}
-				continue
+			lastErr = err
+			// No endpoint took a connection (or the routed owner is
+			// unreachable and its route was forgotten): pause before the
+			// next sweep — a crashed daemon may be restarting, and a dead
+			// owner plus a peer re-teaching its address must not hot-loop
+			// the session through dial failures.
+			if !c.sleep(c.cfg.RetryWait) {
+				return clientproto.Response{}, ErrClosed
 			}
+			continue
 		}
-		// A moved pin (or a fresh routed connection) downgrades
+		// A new connection, a moved pin or an ambiguous write downgrades
 		// read-your-writes until one barrier read proves the daemon has
 		// caught up past our acked writes.
-		var fence bool
-		if pc != nil {
-			fence = pc.fence
-		} else {
-			c.mu.Lock()
-			fence = c.fence
-			c.mu.Unlock()
-		}
 		op := req.Op
-		if fence && op == clientproto.OpGet {
+		if pc.fence && op == clientproto.OpGet {
 			op = clientproto.OpBarrierGet
 			c.cm.barrierUpgrades.Inc()
 		}
 		wire := *req
 		wire.Op = op
-		resp, err := c.exchange(conn, br, &wire)
+		resp, err := c.exchange(pc, &wire)
 		if err != nil {
 			c.mu.Lock()
 			closed := c.closed
 			c.cm.failovers.Inc()
-			if pc != nil {
-				c.closePooledLocked(pc)
-			} else {
-				c.dropLocked()
-				c.fence = true
-			}
+			c.closeConnLocked(pc)
 			if !idempotent {
 				// The request may have reached the daemon before the
 				// connection died; the write's outcome is unknown.
@@ -627,11 +592,7 @@ func (c *Client) do(req *clientproto.Request, idempotent bool, intended time.Tim
 		case clientproto.StOK, clientproto.StStatus:
 			c.cm.ops.Inc()
 			if req.Op == clientproto.OpGet || req.Op == clientproto.OpBarrierGet {
-				if pc != nil {
-					pc.fence = false
-				} else {
-					c.fence = false
-				}
+				pc.fence = false
 			}
 			c.mu.Unlock()
 			return resp, nil
@@ -647,11 +608,7 @@ func (c *Client) do(req *clientproto.Request, idempotent bool, intended time.Tim
 			if !idempotent {
 				c.cm.ops.Inc()
 				c.cm.unacked.Inc()
-				if pc != nil {
-					pc.fence = true
-				} else {
-					c.fence = true
-				}
+				pc.fence = true
 				c.mu.Unlock()
 				return clientproto.Response{}, fmt.Errorf("%w: %s", ErrUnacked, resp.Err)
 			}
@@ -679,7 +636,7 @@ func (c *Client) do(req *clientproto.Request, idempotent bool, intended time.Tim
 				productive = true
 			}
 			switch {
-			case pc != nil:
+			case pc != c.pin:
 				// The routed connection answered fine — only the route
 				// was stale. Keep the connection for arcs it still owns;
 				// the refreshed cache redirects this key next iteration.
@@ -690,10 +647,8 @@ func (c *Client) do(req *clientproto.Request, idempotent bool, intended time.Tim
 				// keep the pin for the arcs (and Status) it still serves.
 				lastErr = fmt.Errorf("key owned by shard group %d", resp.Group)
 			default:
-				from := c.pinned
-				c.dropLocked()
-				c.fence = true
-				lastErr = fmt.Errorf("redirected away from %s (serving group %d)", from, resp.Group)
+				c.closeConnLocked(pc)
+				lastErr = fmt.Errorf("redirected away from %s (serving group %d)", pc.addr, resp.Group)
 			}
 			c.mu.Unlock()
 			if !productive {
@@ -723,11 +678,7 @@ func (c *Client) do(req *clientproto.Request, idempotent bool, intended time.Tim
 			}
 			continue
 		default:
-			if pc != nil {
-				c.closePooledLocked(pc)
-			} else {
-				c.dropLocked()
-			}
+			c.closeConnLocked(pc)
 			c.mu.Unlock()
 			lastErr = fmt.Errorf("unknown response status %d", resp.Status)
 			continue
@@ -746,13 +697,13 @@ func (c *Client) isClosed() bool {
 // the connection. Any error means the request may have reached the daemon
 // (even a torn write can have); callers must treat non-idempotent
 // requests as unacked.
-func (c *Client) exchange(conn net.Conn, br *bufio.Reader, req *clientproto.Request) (clientproto.Response, error) {
+func (c *Client) exchange(pc *pconn, req *clientproto.Request) (clientproto.Response, error) {
 	c.buf = clientproto.AppendRequest(c.buf[:0], req)
-	_ = conn.SetDeadline(time.Now().Add(c.cfg.OpTimeout))
-	if _, err := conn.Write(c.buf); err != nil {
+	_ = pc.conn.SetDeadline(time.Now().Add(c.cfg.OpTimeout))
+	if _, err := pc.conn.Write(c.buf); err != nil {
 		return clientproto.Response{}, err
 	}
-	body, err := clientproto.ReadFrame(br, c.buf[:0])
+	body, err := clientproto.ReadFrame(pc.br, c.buf[:0])
 	if err != nil {
 		return clientproto.Response{}, err
 	}
@@ -760,21 +711,39 @@ func (c *Client) exchange(conn net.Conn, br *bufio.Reader, req *clientproto.Requ
 	return clientproto.ParseResponse(body)
 }
 
-// ensure pins a connection (returning it together with its reader),
-// sweeping the endpoint list round-robin once when unpinned. Dials run
-// without the state lock; the operation lock (held by the caller)
-// serializes the sweep itself. A learned endpoint that keeps refusing
-// dials is evicted from the sweep.
-func (c *Client) ensure() (net.Conn, *bufio.Reader, error) {
+// connFor returns the connection a request goes out on: the routed
+// connection to its key's owner when the shard route cache knows one,
+// else the pin. An unreachable routed owner is forgotten — its route and
+// this group's learned endpoint — so the retry falls back to the
+// redirect path through the sweep.
+func (c *Client) connFor(req *clientproto.Request) (*pconn, error) {
+	addr, grp, ok := c.routeFor(req)
+	if !ok {
+		return c.ensure()
+	}
+	pc, err := c.ensurePooled(addr)
+	if err != nil && !errors.Is(err, ErrClosed) {
+		c.mu.Lock()
+		c.evictRouteLocked(addr)
+		c.noteDialFailedLocked(addr, grp)
+		c.mu.Unlock()
+	}
+	return pc, err
+}
+
+// ensure returns the pin, sweeping the endpoint list round-robin once
+// when unpinned. Dials run without the state lock; the operation lock
+// (held by the caller) serializes the sweep itself. A learned endpoint
+// that keeps refusing dials is evicted from the sweep.
+func (c *Client) ensure() (*pconn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
-	if c.conn != nil {
-		conn, br := c.conn, c.br
+	if pin := c.pin; pin != nil {
 		c.mu.Unlock()
-		return conn, br, nil
+		return pin, nil
 	}
 	n := len(c.addrs)
 	c.mu.Unlock()
@@ -784,7 +753,7 @@ func (c *Client) ensure() (net.Conn, *bufio.Reader, error) {
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
-			return nil, nil, ErrClosed
+			return nil, ErrClosed
 		}
 		if len(c.addrs) == 0 { // cannot happen (bootstrap addrs stay), be safe
 			c.mu.Unlock()
@@ -802,7 +771,7 @@ func (c *Client) ensure() (net.Conn, *bufio.Reader, error) {
 			if conn != nil {
 				_ = conn.Close()
 			}
-			return nil, nil, ErrClosed
+			return nil, ErrClosed
 		}
 		if err != nil {
 			lastErr = err
@@ -813,17 +782,15 @@ func (c *Client) ensure() (net.Conn, *bufio.Reader, error) {
 		}
 		c.noteDialOKLocked(addr)
 		c.advanceCursorLocked(addr)
-		c.conn = conn
-		c.br = bufio.NewReader(conn)
-		c.pinned = addr
-		br := c.br
+		c.pin = newPconn(addr, conn)
+		pin := c.pin
 		c.mu.Unlock()
-		return conn, br, nil
+		return pin, nil
 	}
 	if lastErr == nil {
 		lastErr = errors.New("no endpoints")
 	}
-	return nil, nil, fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
+	return nil, fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
 }
 
 // advanceCursorLocked moves the round-robin cursor past addr (looked up
@@ -977,8 +944,7 @@ func (c *Client) evictRouteLocked(addr string) {
 }
 
 // ensurePooled returns the routed connection for addr, dialing one if
-// needed. Fresh connections start fenced: their first read is barrier-
-// upgraded so read-your-writes holds across the route hop.
+// needed.
 func (c *Client) ensurePooled(addr string) (*pconn, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -1000,27 +966,32 @@ func (c *Client) ensurePooled(addr string) (*pconn, error) {
 		_ = conn.Close()
 		return nil, ErrClosed
 	}
-	pc := &pconn{addr: addr, conn: conn, br: bufio.NewReader(conn), fence: true}
+	pc := newPconn(addr, conn)
 	c.pool[addr] = pc
 	c.mu.Unlock()
 	return pc, nil
 }
 
-// closePooledLocked closes a routed connection and removes it from the
-// pool.
-func (c *Client) closePooledLocked(pc *pconn) {
+// newPconn wraps a fresh connection. It starts fenced: its first read is
+// barrier-upgraded, so read-your-writes holds across the hop to it.
+func newPconn(addr string, conn net.Conn) *pconn {
+	return &pconn{addr: addr, conn: conn, br: bufio.NewReader(conn), fence: true}
+}
+
+// closeConnLocked closes pc and forgets it: the pin is dropped, a routed
+// connection leaves the pool.
+func (c *Client) closeConnLocked(pc *pconn) {
 	_ = pc.conn.Close()
-	if c.pool[pc.addr] == pc {
+	if c.pin == pc {
+		c.pin = nil
+	} else if c.pool[pc.addr] == pc {
 		delete(c.pool, pc.addr)
 	}
 }
 
 // dropLocked abandons the pinned connection.
 func (c *Client) dropLocked() {
-	if c.conn != nil {
-		_ = c.conn.Close()
-		c.conn = nil
-		c.br = nil
+	if c.pin != nil {
+		c.closeConnLocked(c.pin)
 	}
-	c.pinned = ""
 }

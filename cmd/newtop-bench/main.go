@@ -1,8 +1,8 @@
 // Command newtop-bench regenerates every experiment table of the Newtop
 // reproduction: the paper's figures (F1–F3), worked examples (X1–X3),
 // comparative claims (C1–C9) and the replicated-state-machine scenarios
-// (R1–R3). See DESIGN.md §4 for the index and EXPERIMENTS.md for the
-// expected shapes.
+// (R1–R3). `newtop-bench -list` prints the index; each table's title
+// names the claim it checks.
 //
 // Usage:
 //
@@ -16,8 +16,9 @@
 //	newtop-bench -perf -perf-out results.json   # choose the output path
 //	newtop-bench -perf -perf-baseline old.json  # record before/after in one file
 //
-// CI regression gate (fails on a >2x ns/op regression of one benchmark
-// versus the checked-in report):
+// CI regression gate (re-measures the default check set versus the
+// checked-in report and fails when any check passes its factor: ns/op
+// at 3x, allocs/op at factors of 1 to 2 per benchmark):
 //
 //	newtop-bench -perf-gate BENCH_core.json
 //

@@ -89,7 +89,9 @@ type Config struct {
 	// command is written to a per-group WAL under this directory, state
 	// snapshots are cut periodically, and a restarted daemon recovers its
 	// store locally and rejoins its former partners via the reconcile
-	// fast path instead of a full snapshot transfer.
+	// fast path instead of a full snapshot transfer. Single-group mode
+	// only: Start refuses DataDir together with Shard, because shard
+	// replicas have no WAL and would ack writes that are not on disk.
 	DataDir string
 	// Fsync selects the WAL flush policy: "always" (default — an acked
 	// write is on stable media), "interval" or "never".
@@ -125,14 +127,6 @@ type Config struct {
 	// (default 5×Settle).
 	InitiateTimeout time.Duration
 
-	// TCP transport tuning, passed through to newtop.Config.
-	DialTimeout  time.Duration
-	DialBackoff  time.Duration
-	WriteTimeout time.Duration
-	// FlushWindow is the per-peer sender's batching wait; zero (the
-	// default) writes without waiting (see newtop.Config.FlushWindow).
-	FlushWindow time.Duration
-
 	// RingThreshold and RingPullAfter configure ring payload
 	// dissemination, passed through to newtop.Config: payloads at or
 	// above the threshold travel the view ring instead of fanning out
@@ -145,7 +139,8 @@ type Config struct {
 	// shard map, instead of one store in one lineage of groups. See
 	// shard.go. Join, Merge and the heal machinery do not apply in this
 	// mode (shard groups are fixed-membership; rebalancing forms new
-	// groups, it never rejoins old ones).
+	// groups, it never rejoins old ones). Shard replicas keep no WAL, so
+	// Start refuses Shard together with DataDir.
 	Shard *ShardConfig
 
 	// Logf receives the daemon's log lines (default log.Printf; supply
@@ -259,6 +254,9 @@ func Start(cfg Config) (*Daemon, error) {
 	default:
 		return nil, fmt.Errorf("daemon: unknown merge policy %q", cfg.Merge)
 	}
+	if cfg.Shard != nil && cfg.DataDir != "" {
+		return nil, errors.New("daemon: sharded mode keeps no WAL; Shard and DataDir cannot be combined")
+	}
 	d := &Daemon{
 		cfg:         cfg,
 		kv:          newtop.NewKV(),
@@ -288,10 +286,6 @@ func Start(cfg Config) (*Daemon, error) {
 		Peers:             cfg.Peers,
 		Omega:             cfg.Omega,
 		HealProbeInterval: cfg.HealProbeInterval,
-		DialTimeout:       cfg.DialTimeout,
-		DialBackoff:       cfg.DialBackoff,
-		WriteTimeout:      cfg.WriteTimeout,
-		FlushWindow:       cfg.FlushWindow,
 		RingThreshold:     cfg.RingThreshold,
 		RingPullAfter:     cfg.RingPullAfter,
 		TraceSampleEvery:  cfg.TraceSampleEvery,

@@ -194,127 +194,62 @@ func (d *Daemon) ShardsReady() bool {
 	return true
 }
 
-// serveSharded is serveRequest for sharded mode: route by key hash
-// through the replicated map, serve locally when this daemon hosts the
-// owning group, redirect with a shard hint (map epoch + owning arc +
-// a member's client address) when it does not. The lineage path's
-// pendingInvites write-hold does not apply here — shard-group formation
-// supersedes nothing; mid-move safety comes from the fence.
-func (d *Daemon) serveSharded(req *clientproto.Request) clientproto.Response {
+// routeShard is the sharded route step: route by key hash through the
+// replicated map, serve locally when this daemon hosts the owning group,
+// redirect with a shard hint (map epoch + owning arc + a member's client
+// address) when it does not. Status is served from the meta replica. The
+// lineage route's cut-over write hold does not apply here — shard-group
+// formation supersedes nothing; mid-move safety comes from the fence
+// (see serveWrite).
+func (d *Daemon) routeShard(req *clientproto.Request) (placement, clientproto.Response, bool) {
 	if req.Op == clientproto.OpStatus {
-		return d.shardStatus()
+		d.mu.Lock()
+		meta := d.reps[shard.MetaGroup]
+		d.mu.Unlock()
+		if meta == nil {
+			return placement{}, clientproto.Response{Status: clientproto.StNotServing, Group: uint64(shard.MetaGroup)}, false
+		}
+		return placement{rep: meta, g: shard.MetaGroup}, clientproto.Response{}, true
 	}
 	h := shard.HashKey(req.Key)
 	route, epoch, ok := d.smap.Lookup(h)
 	if !ok {
-		return clientproto.Response{Status: clientproto.StRetry,
-			RetryAfter: 50 * time.Millisecond, Reason: "shard map not initialized"}
+		return placement{}, clientproto.Response{Status: clientproto.StRetry,
+			RetryAfter: 50 * time.Millisecond, Reason: "shard map not initialized"}, false
 	}
 	d.mu.Lock()
 	rep := d.reps[route.Group]
 	kv := d.shardKVs[route.Group]
 	d.mu.Unlock()
 	if rep == nil || kv == nil {
-		return clientproto.Response{
+		return placement{}, clientproto.Response{
 			Status:  clientproto.StNotServing,
 			Group:   uint64(route.Group),
 			Addr:    d.smap.AddrHint(route.Group, h, d.cfg.Self),
 			Epoch:   epoch,
 			RangeLo: route.Lo,
 			RangeHi: route.Hi,
-		}
+		}, false
 	}
 	if !rep.CaughtUp() {
 		// A freshly invited member still streaming the moved range in.
 		// Redirecting would just bounce among equally new members; the
 		// transfer is short, so hold the client here.
-		return clientproto.Response{Status: clientproto.StRetry,
-			RetryAfter: 20 * time.Millisecond, Reason: "shard catching up"}
+		return placement{}, clientproto.Response{Status: clientproto.StRetry,
+			RetryAfter: 20 * time.Millisecond, Reason: "shard catching up"}, false
 	}
-	switch req.Op {
-	case clientproto.OpGet:
-		return d.serveRead(rep, kv, req.Key, false)
-	case clientproto.OpBarrierGet:
-		return d.serveRead(rep, kv, req.Key, true)
-	case clientproto.OpPut:
-		if err := clientproto.ValidKey(req.Key); err != nil {
-			return clientproto.Response{Status: clientproto.StErr, Err: err.Error()}
-		}
-		if err := clientproto.ValidValue(req.Value); err != nil {
-			return clientproto.Response{Status: clientproto.StErr, Err: err.Error()}
-		}
-		return d.serveShardWrite(rep, kv, h, req.Key, "put "+req.Key+" "+req.Value)
-	case clientproto.OpDel:
-		if err := clientproto.ValidKey(req.Key); err != nil {
-			return clientproto.Response{Status: clientproto.StErr, Err: err.Error()}
-		}
-		return d.serveShardWrite(rep, kv, h, req.Key, "del "+req.Key)
-	}
-	return clientproto.Response{Status: clientproto.StErr, Err: "unknown op"}
+	return placement{rep: rep, kv: kv, g: route.Group, h: h}, clientproto.Response{}, true
 }
 
-// serveShardWrite proposes one command into the shard's total order with
-// the move write-gate closed around it. Before proposing: a key inside a
-// pending move's range, or inside a fenced range, is refused with RETRY —
-// the write never entered the order, so retrying is safe. After the ack
-// wait: if the range is fenced NOW, the fence raced this write into the
-// order and the apply may have rejected it on every member — the only
-// honest answer is UNKNOWN. An OK therefore means the write was applied
-// with no fence ordered before it, which puts it inside any later
-// snapshot cut: acked writes survive the move by construction.
-func (d *Daemon) serveShardWrite(rep *newtop.Replica, kv *newtop.KV, h uint64, key, cmd string) clientproto.Response {
-	if d.smap.InPendingRange(h) || kv.FencedKey(key) {
-		return clientproto.Response{Status: clientproto.StRetry,
-			RetryAfter: 25 * time.Millisecond, Reason: "key range moving between shards"}
-	}
-	if err := rep.Propose([]byte(cmd)); err != nil {
-		return retryOn(err)
-	}
-	if err := rep.Read(func(newtop.StateMachine) {}); err != nil {
-		return clientproto.Response{Status: clientproto.StUnknown,
-			Err: "write proposed but not confirmed: " + err.Error()}
-	}
-	if kv.FencedKey(key) {
-		return clientproto.Response{Status: clientproto.StUnknown,
-			Err: "write raced a shard move"}
-	}
-	return clientproto.Response{Status: clientproto.StOK, Found: true}
-}
-
-// shardStatus serves OpStatus in sharded mode: meta-replica progress plus
-// fleet-local aggregates (keys across hosted shards; Members reports the
-// hosted shard-group count — the closest analog to a view size here).
-func (d *Daemon) shardStatus() clientproto.Response {
+// hostedShards sums the keys across the shard groups this daemon hosts
+// and counts the groups.
+func (d *Daemon) hostedShards() (keys, groups int) {
 	d.mu.Lock()
-	meta := d.reps[shard.MetaGroup]
-	keys := 0
-	groups := 0
-	ready := true
-	for g, kv := range d.shardKVs {
+	defer d.mu.Unlock()
+	for _, kv := range d.shardKVs {
 		keys += kv.Len()
-		groups++
-		if rep := d.reps[g]; rep == nil || !rep.CaughtUp() {
-			ready = false
-		}
 	}
-	d.mu.Unlock()
-	if meta == nil {
-		return clientproto.Response{Status: clientproto.StNotServing, Group: uint64(shard.MetaGroup)}
-	}
-	delivered, drops, queueDepth := d.obsStatus()
-	return clientproto.Response{
-		Status:     clientproto.StStatus,
-		Self:       uint32(d.cfg.Self),
-		Group:      uint64(shard.MetaGroup),
-		Applied:    meta.AppliedSeq(),
-		Digest:     meta.Digest(),
-		Keys:       uint32(keys),
-		Ready:      ready && meta.CaughtUp() && d.smap.Initialized(),
-		Members:    uint32(groups),
-		Delivered:  delivered,
-		Drops:      drops,
-		QueueDepth: queueDepth,
-	}
+	return keys, len(d.shardKVs)
 }
 
 // MoveRange splits the hash range [lo, hi) (hi == 0 meaning the ring

@@ -292,7 +292,7 @@ func TestShardedMoveRangeUnderWrites(t *testing.T) {
 	if srcRep == nil || srcKV == nil {
 		t.Fatal("source group gone from daemon 2")
 	}
-	stale := ds[2].serveShardWrite(srcRep, srcKV, shard.HashKey(hot), hot, "put "+hot+" stale")
+	stale := ds[2].serveWrite(placement{rep: srcRep, kv: srcKV, g: src, h: shard.HashKey(hot)}, hot, "put "+hot+" stale")
 	if stale.Status == clientproto.StOK {
 		t.Fatalf("stale-routed write into the moved range was acked OK")
 	}

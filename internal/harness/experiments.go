@@ -12,10 +12,10 @@ import (
 	"newtop/internal/workload"
 )
 
-// This file implements every experiment in DESIGN.md §4 — one function per
+// This file implements the experiments — one function per
 // figure/example/claim of the paper. Each returns a Table whose rows are
-// the series the paper's qualitative claims predict; EXPERIMENTS.md
-// records expected-vs-measured.
+// the series the paper's qualitative claims predict, and whose notes
+// state the expected shape.
 
 // sampleDataMessage builds a representative Newtop data multicast with
 // realistic field magnitudes (long-running clock values).

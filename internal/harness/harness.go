@@ -3,7 +3,7 @@
 // comparative claims are about (messages, bytes, null overhead, delivery
 // latency, agreement latency), and formats result tables. Both the bench
 // targets in bench_test.go and cmd/newtop-bench are thin wrappers around
-// this package; EXPERIMENTS.md records the outputs.
+// this package.
 package harness
 
 import (

@@ -109,6 +109,9 @@ func (h *Histogram) Count() uint64 {
 // are computed over the bucket counts read at this instant; under
 // concurrent Observe traffic the snapshot is a valid histogram of some
 // prefix-plus-subset of the observations (each bucket read is atomic).
+// Quantiles are clamped to Max: a bucket's midpoint can lie above every
+// value in the bucket, and a concurrent Observe can land in a bucket
+// before it raises Max.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	if h == nil {
@@ -124,13 +127,14 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s.Count = total
 	s.Sum = h.sum.Load()
 	s.Max = h.max.Load()
-	s.P50 = quantile(&counts, total, 0.50)
-	s.P99 = quantile(&counts, total, 0.99)
-	s.P999 = quantile(&counts, total, 0.999)
+	s.P50 = min(quantile(&counts, total, 0.50), s.Max)
+	s.P99 = min(quantile(&counts, total, 0.99), s.Max)
+	s.P999 = min(quantile(&counts, total, 0.999), s.Max)
 	return s
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) of the observations.
+// Like Snapshot's quantiles, it never exceeds the largest observation.
 func (h *Histogram) Quantile(q float64) uint64 {
 	if h == nil {
 		return 0
@@ -142,7 +146,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 		counts[i] = c
 		total += c
 	}
-	return quantile(&counts, total, q)
+	return min(quantile(&counts, total, q), h.max.Load())
 }
 
 // quantile walks the bucket array to the bucket containing the rank and

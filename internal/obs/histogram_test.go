@@ -130,3 +130,25 @@ func TestHistogramNegativeClamped(t *testing.T) {
 		t.Fatalf("negative observation not clamped: %+v", s)
 	}
 }
+
+// TestHistogramQuantileNeverExceedsMax: a single observation sits in a
+// bucket whose midpoint lies above it; no quantile may report more than
+// the largest value ever observed.
+func TestHistogramQuantileNeverExceedsMax(t *testing.T) {
+	for _, v := range []int64{64, 1000, 1024, 123456789} {
+		var h Histogram
+		h.Observe(v)
+		s := h.Snapshot()
+		if s.Max != uint64(v) {
+			t.Fatalf("Observe(%d): Max %d", v, s.Max)
+		}
+		if s.P50 > s.Max || s.P99 > s.Max || s.P999 > s.Max {
+			t.Errorf("Observe(%d): snapshot quantiles above Max: %+v", v, s)
+		}
+		for _, q := range []float64{0.5, 0.99, 1} {
+			if got := h.Quantile(q); got > uint64(v) {
+				t.Errorf("Observe(%d): Quantile(%v) = %d above Max", v, q, got)
+			}
+		}
+	}
+}

@@ -366,10 +366,9 @@ func RSMCatchUp(b *testing.B) {
 // receipt, with the default batching configuration. Besides ns/op it
 // reports the realised coalescing factor as frames/write (>1 means the
 // sender shipped multiple frames per syscall). The before/after of the
-// batching change itself is recorded in ROADMAP.md — it was measured
-// against the pre-batching sender at the prior commit, which cannot be
-// recreated by a runtime knob (disabling the flush window still drains
-// the whole backlog per write).
+// batching change itself was measured against the pre-batching sender,
+// which no runtime knob recreates: the sender always drains the whole
+// backlog per write.
 func TCPSendRecv(b *testing.B) {
 	recvEp, err := tcpnet.New(tcpnet.Config{Self: 2, ListenAddr: "127.0.0.1:0"})
 	if err != nil {

@@ -18,12 +18,10 @@ import (
 //
 // Sends are batched: every drain takes the whole queue and writes it as
 // one buffered syscall, so whatever queues while a write is in progress
-// rides in the next one; an optional flush window (Config.FlushWindow)
-// lets a burst accumulate before the first drain. Newtop's traffic is
-// bursty by construction — a multicast fan-out per stimulus, chunked
-// snapshot streams, refute piggybacks — so coalescing turns a syscall per
-// message into a syscall per burst (see the TCPSendRecv* rows of
-// BENCH_core.json).
+// rides in the next one. Newtop's traffic is bursty by construction — a
+// multicast fan-out per stimulus, chunked snapshot streams, refute
+// piggybacks — so coalescing turns a syscall per message into a syscall
+// per burst (see the TCPSendRecv* rows of BENCH_core.json).
 //
 // Frames are marshalled at enqueue time, inside the caller's Send: the
 // sender never retains a *types.Message, so a caller may hand it messages
@@ -100,19 +98,6 @@ func (ps *peerSender) run() {
 			ps.mu.Unlock()
 			return
 		}
-		ps.mu.Unlock()
-
-		// Flush window: give the rest of the burst a moment to arrive so
-		// it rides in the same write.
-		if w := ps.ep.cfg.FlushWindow; w > 0 {
-			time.Sleep(w)
-		}
-
-		ps.mu.Lock()
-		if ps.stopped {
-			ps.mu.Unlock()
-			return
-		}
 		batch := ps.pending
 		nframes := ps.nframes
 		ps.pending = ps.spare[:0]
@@ -172,7 +157,7 @@ func (ps *peerSender) run() {
 		// drops the connection: the receiver's framing resyncs on the
 		// fresh connection, and the tail of the batch is lost — exactly
 		// the lossy-suffix link model the protocol assumes.
-		_ = conn.SetWriteDeadline(time.Now().Add(ps.ep.cfg.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		_, err := conn.Write(batch)
 		reclaim()
 		if err != nil {
@@ -207,7 +192,7 @@ func (ps *peerSender) dial() (net.Conn, error) {
 	}
 	var hello [4]byte
 	binary.BigEndian.PutUint32(hello[:], uint32(ps.ep.cfg.Self))
-	_ = conn.SetWriteDeadline(time.Now().Add(ps.ep.cfg.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := conn.Write(hello[:]); err != nil {
 		// A peer that accepts but can't take the hello is just as
 		// unreachable as one that refuses the dial.

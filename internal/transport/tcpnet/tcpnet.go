@@ -30,6 +30,10 @@ import (
 // MaxFrame bounds a single framed message on the wire.
 const MaxFrame = 32 << 20
 
+// writeTimeout bounds a single batch write; a timed-out write drops the
+// connection, modelling a cut link.
+const writeTimeout = 5 * time.Second
+
 // Config configures an Endpoint.
 type Config struct {
 	// Self is this process's identifier.
@@ -48,17 +52,6 @@ type Config struct {
 	// immediately — the lossy-link model — instead of each paying a
 	// fresh blocking dial of up to DialTimeout on the sender goroutine.
 	DialBackoff time.Duration
-	// WriteTimeout bounds a single batch write (default 5s); a timed-out
-	// write drops the connection, modelling a cut link.
-	WriteTimeout time.Duration
-	// FlushWindow is how long a sender waits after the first queued
-	// message for the rest of the burst, so the whole burst goes out in
-	// one framed write. Zero (the default) or negative means no wait: the
-	// sender writes as soon as it wakes, and whatever queued meanwhile
-	// still coalesces into its next write. A positive window trades that
-	// much first-message latency (plus the timer's overshoot, often far
-	// more than the window itself) for fewer syscalls per burst.
-	FlushWindow time.Duration
 	// Metrics, when set, receives the endpoint's observability series
 	// (batch/dial counters, frames-per-write histogram, labeled drop
 	// counters, buffer-pool tier hits). When nil the endpoint keeps a
@@ -97,9 +90,6 @@ func New(cfg Config) (*Endpoint, error) {
 	}
 	if cfg.DialBackoff <= 0 {
 		cfg.DialBackoff = time.Second
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 5 * time.Second
 	}
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {

@@ -14,15 +14,7 @@ import (
 // newPair starts two endpoints on loopback that know each other's address.
 func newPair(t *testing.T) (*Endpoint, *Endpoint) {
 	t.Helper()
-	return newPairWith(t, Config{})
-}
-
-// newPairWith is newPair with acfg (Self and ListenAddr filled in) as the
-// sender-side configuration, fixed before the endpoint starts.
-func newPairWith(t *testing.T, acfg Config) (*Endpoint, *Endpoint) {
-	t.Helper()
-	acfg.Self, acfg.ListenAddr = 1, "127.0.0.1:0"
-	a, err := New(acfg)
+	a, err := New(Config{Self: 1, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +194,9 @@ func TestPeerRestartReconnects(t *testing.T) {
 }
 
 func TestBurstCoalescesIntoFewWrites(t *testing.T) {
-	// A generous window: the whole burst batches.
-	a, b := newPairWith(t, Config{FlushWindow: 2 * time.Millisecond})
+	// No flush wait: the burst queues while the first write is in
+	// flight and rides in the next one.
+	a, b := newPair(t)
 	const count = 200
 	for i := 1; i <= count; i++ {
 		if err := a.Send(2, msg(1, uint64(i), "burst")); err != nil {
@@ -232,8 +225,10 @@ func TestBurstCoalescesIntoFewWrites(t *testing.T) {
 	t.Logf("batching: %d frames in %d writes (%.1f frames/write)", frames, writes, float64(frames)/float64(writes))
 }
 
-func TestNegativeFlushWindowDisablesWait(t *testing.T) {
-	a, b := newPairWith(t, Config{FlushWindow: -1})
+// TestLoneSendDeliveredWithoutWait: a single message is written as soon
+// as the sender wakes, without waiting for a burst to join it.
+func TestLoneSendDeliveredWithoutWait(t *testing.T) {
+	a, b := newPair(t)
 	if err := a.Send(2, msg(1, 1, "immediate")); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +313,6 @@ func TestDialBackoffBoundsAttempts(t *testing.T) {
 		Peers:       map[types.ProcessID]string{2: deadAddr},
 		DialTimeout: 200 * time.Millisecond,
 		DialBackoff: backoff,
-		FlushWindow: -1, // drain immediately: maximise drain count
 	})
 	if err != nil {
 		t.Fatal(err)

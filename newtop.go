@@ -130,28 +130,10 @@ type Config struct {
 
 	// ListenAddr is the TCP address to listen on (e.g. "10.0.0.1:7000").
 	ListenAddr string
-	// Peers maps peer process IDs to their TCP addresses.
+	// Peers maps peer process IDs to their TCP addresses. Peer links use
+	// the transport's fixed dial timeout, dial backoff and write timeout
+	// (see tcpnet.Config).
 	Peers map[ProcessID]string
-
-	// TCP transport tuning (ignored when Network is set).
-	//
-	// DialTimeout bounds establishing a connection to a peer (default 2s).
-	DialTimeout time.Duration
-	// DialBackoff is how long a peer's sender waits after a failed dial
-	// before attempting another (default 1s, doubling per consecutive
-	// failure up to 8×, reset on success). While backing off, messages
-	// to that peer are dropped — the protocol's lossy-link model —
-	// instead of each burst paying a blocking dial of up to DialTimeout.
-	DialBackoff time.Duration
-	// WriteTimeout bounds one framed batch write (default 5s); a
-	// timed-out write drops the connection, modelling a cut link.
-	WriteTimeout time.Duration
-	// FlushWindow is how long a peer's sender waits after the first
-	// queued message for the rest of the burst, so the burst ships as
-	// one framed write. Zero (the default) or negative means no wait;
-	// queue backlog still coalesces. A positive window trades that much
-	// first-message latency, plus timer overshoot, for fewer syscalls.
-	FlushWindow time.Duration
 
 	// Omega is the time-silence interval ω (§4.1): how long a process
 	// stays quiet in a group before multicasting a null message. It is
@@ -260,14 +242,10 @@ func Start(cfg Config) (*Process, error) {
 		}
 	} else {
 		tcp, err = tcpnet.New(tcpnet.Config{
-			Self:         cfg.Self,
-			ListenAddr:   cfg.ListenAddr,
-			Peers:        cfg.Peers,
-			DialTimeout:  cfg.DialTimeout,
-			DialBackoff:  cfg.DialBackoff,
-			WriteTimeout: cfg.WriteTimeout,
-			FlushWindow:  cfg.FlushWindow,
-			Metrics:      reg,
+			Self:       cfg.Self,
+			ListenAddr: cfg.ListenAddr,
+			Peers:      cfg.Peers,
+			Metrics:    reg,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("newtop: %w", err)
