@@ -305,6 +305,31 @@ func (e *Engine) Tick(now time.Time) []Effect {
 	return e.finish(now)
 }
 
+// Suspect is the failure suspector's second input (§5.2 step i): the
+// runtime has transport evidence that p's process is gone (its connection
+// closed and a redial was refused), so p is suspected now in every active
+// or starting group whose view holds it, instead of after Ω of silence.
+// The GV agreement tolerates a wrong hint — a live member suspected by
+// mistake is excluded consistently — so the hint risks availability,
+// never safety. It is a no-op for self, non-members, already-suspected or
+// removed members, and when failure detection is disabled.
+func (e *Engine) Suspect(now time.Time, p types.ProcessID) []Effect {
+	e.begin()
+	if !e.cfg.DisableFailureDetection && p != e.cfg.Self {
+		for _, gs := range e.sortedGroups() {
+			if gs.status != statusActive && gs.status != statusStartWait {
+				continue
+			}
+			if _, suspected := gs.suspicions[p]; suspected || gs.isRemoved(p) || !gs.view.Contains(p) {
+				continue
+			}
+			e.om.suspectPeerDown.Inc()
+			e.raiseSuspicion(now, gs, p)
+		}
+	}
+	return e.finish(now)
+}
+
 // Flush multicasts one prompt null in every active symmetric group where
 // this process has received a peer's data message numbered above its own
 // last message. Symmetric delivery of m waits until every member has sent

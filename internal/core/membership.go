@@ -294,13 +294,18 @@ func (e *Engine) applyDetection(now time.Time, gs *groupState, detection []types
 	// Discard received-but-undelivered messages from the failed processes
 	// with Num > lnmn, even though they were sent before the failure.
 	// Relays of a failed origin's messages fall under the same cutoff.
+	var unrelayed []*types.Message
 	e.stats.Discarded += uint64(e.queue.Discard(func(m *types.Message) bool {
 		drop := m.Group == gs.id && (failed[m.Sender] || failed[m.Origin]) && m.Num > lnmn
 		if drop && gs.arena != nil {
 			gs.arena.clear(m, arenaQueued)
 		}
+		if drop && m.Sender != m.Origin && !failed[m.Origin] {
+			unrelayed = append(unrelayed, m)
+		}
 		return drop
 	}))
+	e.unrelay(gs, unrelayed)
 	// RV[k] := ∞, SV[k] := ∞ — lets D and stability advance past the
 	// departed processes (the failed set is always a subset of the
 	// current view; see checkAgreement/adoptPendingConfirms).
@@ -312,4 +317,35 @@ func (e *Engine) applyDetection(now time.Time, gs *groupState, detection []types
 	}
 	e.gDValid = false
 	gs.installs = append(gs.installs, viewInstall{failed: failed, lnmn: lnmn})
+}
+
+// unrelay undoes the failed sequencer's discarded relays of live origins'
+// messages (asymmetric mode): every survivor discards exactly the relays
+// numbered above lnmn, so each rolls the origin's relay sequence back to
+// just below the first discarded one, and an origin that already took a
+// discarded relay of its own message as the sequencer's acknowledgement
+// makes the request pending again. installView then re-sends pending
+// requests to the new sequencer, which accepts them in sequence — so a
+// request is neither lost at its origin nor refused as a duplicate.
+func (e *Engine) unrelay(gs *groupState, relays []*types.Message) {
+	if len(relays) == 0 {
+		return
+	}
+	sort.Slice(relays, func(i, j int) bool { return relays[i].Seq < relays[j].Seq })
+	var restored []*types.Message
+	for _, m := range relays {
+		if oi := gs.memberIndex(m.Origin); oi >= 0 && m.Seq <= gs.mem[oi].seqRelayed {
+			gs.mem[oi].seqRelayed = m.Seq - 1
+		}
+		if m.Origin == e.cfg.Self {
+			restored = append(restored, &types.Message{
+				Kind: types.KindSeqRequest, Group: gs.id,
+				Sender: e.cfg.Self, Origin: e.cfg.Self,
+				Num: m.Num, Seq: m.Seq, Payload: m.Payload,
+			})
+		}
+	}
+	if len(restored) > 0 {
+		gs.pendingReqs = append(restored, gs.pendingReqs...)
+	}
 }

@@ -30,6 +30,11 @@ type engMetrics struct {
 	dropGroupGone    *obs.Counter // queued message whose group was departed
 	dropQueuedSubmit *obs.Counter // queued submit dropped with its group
 
+	// Suspicions raised by source: a transport peer-down hint
+	// (Engine.Suspect) or Ω of time silence (the tick scan).
+	suspectPeerDown *obs.Counter
+	suspectSilence  *obs.Counter
+
 	gcPause    *obs.Histogram // stability-log gc wall time (ns)
 	queueDepth *obs.Gauge     // received-but-undelivered ordered messages
 	arenaLive  *obs.Gauge     // arena slots still held by log/queue
@@ -60,6 +65,8 @@ func newEngMetrics(reg *obs.Registry) engMetrics {
 		dropStaleView:    drop("stale_view"),
 		dropGroupGone:    drop("group_gone"),
 		dropQueuedSubmit: drop("queued_submit_group_gone"),
+		suspectPeerDown:  reg.Counter(`newtop_suspicions_total{source="peer_down"}`),
+		suspectSilence:   reg.Counter(`newtop_suspicions_total{source="silence"}`),
 		gcPause:          reg.Histogram("newtop_engine_log_gc_ns"),
 		queueDepth:       reg.Gauge("newtop_engine_queue_depth"),
 		arenaLive:        reg.Gauge("newtop_engine_arena_live"),

@@ -36,6 +36,7 @@ func (e *Engine) tickGroup(now time.Time, gs *groupState) {
 				continue
 			}
 			if now.Sub(gs.mem[i].lastHeard) >= e.cfg.SuspicionTimeout {
+				e.om.suspectSilence.Inc()
 				e.raiseSuspicion(now, gs, p)
 			}
 		}

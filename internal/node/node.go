@@ -525,8 +525,16 @@ func (n *Node) loop() {
 // it flushes prompt nulls and lets timers and calls in.
 const maxBurst = 64
 
-// receive hands one inbound message to the ring layer or the engine.
+// receive hands one inbound message to the ring layer or the engine, and
+// a peer-down hint straight to the engine's suspector.
 func (n *Node) receive(in transport.Inbound) {
+	if in.Down {
+		// The hint trails the peer's last frame, and every ring delivery
+		// those frames released has been applied (ringQ drains in apply),
+		// so the suspicion's ln covers everything the peer sent.
+		n.apply(n.eng.Suspect(n.clk.Now(), in.From))
+		return
+	}
 	n.noteInbound(in.From, in.Msg.Group)
 	if n.rng != nil {
 		// Ring path: relay outbounds may alias the borrowed transport

@@ -173,6 +173,10 @@ type rsmMetrics struct {
 	resyncs      *obs.Counter
 	chunksIn     *obs.Counter
 	snapshotsIn  *obs.Counter
+
+	// storageFailed is 1 once the durability log failed (logDead): the
+	// replica carries on in memory and its applies are no longer durable.
+	storageFailed *obs.Gauge
 }
 
 func newRsmMetrics(reg *obs.Registry, g types.GroupID) rsmMetrics {
@@ -180,10 +184,11 @@ func newRsmMetrics(reg *obs.Registry, g types.GroupID) rsmMetrics {
 		return fmt.Sprintf(`%s{group="%d"}`, name, uint64(g))
 	}
 	return rsmMetrics{
-		applyLatency: reg.Histogram(lbl("newtop_rsm_propose_apply_ns")),
-		resyncs:      reg.Counter(lbl("newtop_rsm_resyncs_total")),
-		chunksIn:     reg.Counter(lbl("newtop_rsm_chunks_in_total")),
-		snapshotsIn:  reg.Counter(lbl("newtop_rsm_snapshots_in_total")),
+		applyLatency:  reg.Histogram(lbl("newtop_rsm_propose_apply_ns")),
+		resyncs:       reg.Counter(lbl("newtop_rsm_resyncs_total")),
+		chunksIn:      reg.Counter(lbl("newtop_rsm_chunks_in_total")),
+		snapshotsIn:   reg.Counter(lbl("newtop_rsm_snapshots_in_total")),
+		storageFailed: reg.Gauge(lbl("newtop_storage_failed")),
 	}
 }
 
@@ -506,7 +511,7 @@ func (r *Replica) persist(out Outcome) {
 			applied = sq.Seq()
 		}
 		if err := r.log.CutSnapshot(pos, applied, r.sm.Snapshot()); err != nil {
-			r.logDead = true
+			r.failLog()
 			return false
 		}
 		r.sinceSnap = 0
@@ -525,7 +530,7 @@ func (r *Replica) persist(out Outcome) {
 	}
 	for _, e := range out.Durable {
 		if err := r.log.Append(e); err != nil {
-			r.logDead = true
+			r.failLog()
 			return
 		}
 	}
@@ -537,9 +542,17 @@ func (r *Replica) persist(out Outcome) {
 	}
 	if len(out.Durable) > 0 {
 		if err := r.log.Commit(); err != nil {
-			r.logDead = true
+			r.failLog()
 		}
 	}
+}
+
+// failLog latches logDead after a storage failure (a failed append,
+// commit or snapshot cut) and raises the replica's storage-failed gauge.
+// Called with mu held.
+func (r *Replica) failLog() {
+	r.logDead = true
+	r.om.storageFailed.Set(1)
 }
 
 // apply finishes an outcome produced under mu (by Step or PruneLive): it

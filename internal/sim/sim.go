@@ -344,6 +344,26 @@ func (c *Cluster) Leave(p types.ProcessID, g types.GroupID) error {
 // events and its queued transmissions are lost.
 func (c *Cluster) Crash(p types.ProcessID) { c.crashed[p] = true }
 
+// Exit stops p the way a process exit does on a live host: like Crash, but
+// p's sockets close, so each live link p→q carries a peer-down hint to q
+// (the evidence internal/transport/tcpnet turns into an Inbound.Down)
+// queued behind p's messages in flight on that link. q's engine takes it
+// through Engine.Suspect. A link cut at the exit, or by the time the hint
+// arrives, delivers nothing; Crash remains the host crash that leaves only
+// silence for the Ω suspector.
+func (c *Cluster) Exit(p types.ProcessID) {
+	if c.crashed[p] {
+		return
+	}
+	c.Crash(p)
+	for _, q := range c.Processes() {
+		if q == p || c.crashed[q] || c.cut[[2]types.ProcessID{p, q}] {
+			continue
+		}
+		c.push(event{at: c.arrival(p, q), from: p, to: q, down: true})
+	}
+}
+
 // CrashAfterSends arms a crash of p after it performs n more point-to-point
 // transmissions — the paper's "multicast interrupted by the crash of the
 // sender", leaving some destinations with the message and others without.
@@ -462,6 +482,7 @@ type event struct {
 	// event owns the buffer's reference until delivery or loss.
 	encBuf *wire.Buf
 	encLen int
+	down   bool // peer-down hint from an exited sender (Exit)
 	tick   bool
 	fn     func()
 }
@@ -515,6 +536,11 @@ func (c *Cluster) dispatch(ev event) {
 			return
 		}
 		e := c.engines[ev.to]
+		if ev.down {
+			// Bypasses the ring layer, as internal/node does.
+			c.route(ev.to, e.Suspect(c.now, ev.from))
+			return
+		}
 		m := ev.msg
 		if ev.encBuf != nil {
 			// The borrowed decode, sealed like internal/node does it:
@@ -691,17 +717,7 @@ func (c *Cluster) transmit(from, to types.ProcessID, m *types.Message) {
 		c.bytes += n
 		c.bytesBy[from] += n
 	}
-	lat := c.latMin
-	if c.latMax > c.latMin {
-		lat += time.Duration(c.rng.Int63n(int64(c.latMax - c.latMin)))
-	}
-	arr := c.now.Add(lat)
-	key := [2]types.ProcessID{from, to}
-	if last := c.lastArr[key]; arr.Before(last) {
-		arr = last
-	}
-	c.lastArr[key] = arr
-	ev := event{at: arr, from: from, to: to}
+	ev := event{at: c.arrival(from, to), from: from, to: to}
 	if c.codecPool != nil {
 		// Encode now, inside the sender's call — the caller (a ring relay,
 		// or later an arena-backed engine) may recycle or release the
@@ -713,6 +729,23 @@ func (c *Cluster) transmit(from, to types.ProcessID, m *types.Message) {
 		ev.msg = m
 	}
 	c.push(ev)
+}
+
+// arrival draws a latency for one transmission from→to and returns its
+// arrival instant, never earlier than the link's previous arrival
+// (per-pair FIFO).
+func (c *Cluster) arrival(from, to types.ProcessID) time.Time {
+	lat := c.latMin
+	if c.latMax > c.latMin {
+		lat += time.Duration(c.rng.Int63n(int64(c.latMax - c.latMin)))
+	}
+	arr := c.now.Add(lat)
+	key := [2]types.ProcessID{from, to}
+	if last := c.lastArr[key]; arr.Before(last) {
+		arr = last
+	}
+	c.lastArr[key] = arr
+	return arr
 }
 
 // calendar is a time-ordered event min-heap (FIFO on equal instants,

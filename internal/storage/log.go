@@ -283,7 +283,9 @@ func (l *Log) Append(e Entry) error {
 func (l *Log) rotateLocked(nextIndex uint64) error {
 	if l.f != nil {
 		if l.store.opts.Policy != FsyncNever {
-			l.fsyncLocked()
+			if err := l.fsyncLocked(); err != nil {
+				return err
+			}
 		}
 		_ = l.f.Close()
 		l.closed = append(l.closed, closedSeg{path: l.segPath, start: l.segStart, lastIndex: l.pos.Index})
@@ -315,10 +317,12 @@ func (l *Log) Commit() error {
 	}
 	switch l.store.opts.Policy {
 	case FsyncAlways:
-		l.fsyncLocked()
+		return l.fsyncLocked()
 	case FsyncInterval:
 		if now := time.Now(); now.Sub(l.lastSync) >= l.store.opts.Interval {
-			l.fsyncLocked()
+			if err := l.fsyncLocked(); err != nil {
+				return err
+			}
 			l.lastSync = now
 		}
 	case FsyncNever:
@@ -326,13 +330,20 @@ func (l *Log) Commit() error {
 	return nil
 }
 
-func (l *Log) fsyncLocked() {
+// fsyncLocked syncs the active segment. A failed sync leaves durable and
+// dirty as they were: the appended bytes are not known to be on stable
+// media, and the error reaches the caller so nothing acks them.
+func (l *Log) fsyncLocked() error {
 	start := time.Now()
-	_ = l.f.Sync()
+	err := l.f.Sync()
 	l.store.om.fsyncLat.ObserveDuration(time.Since(start))
 	l.store.om.fsyncs.Inc()
+	if err != nil {
+		return fmt.Errorf("storage: fsync: %w", err)
+	}
 	l.durable = l.size
 	l.dirty = false
+	return nil
 }
 
 // CutSnapshot durably records state as covering every entry with
@@ -413,10 +424,13 @@ func (l *Log) Close() error {
 	if l.f == nil || l.crashed {
 		return nil
 	}
+	var err error
 	if l.dirty && l.store.opts.Policy != FsyncNever {
-		l.fsyncLocked()
+		err = l.fsyncLocked()
 	}
-	err := l.f.Close()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
 	l.f = nil
 	return err
 }

@@ -460,3 +460,33 @@ func TestParseFsync(t *testing.T) {
 		t.Fatal("String")
 	}
 }
+
+// A failed fsync is not durability: Commit reports the error and the log
+// keeps the unsynced bytes counted as such, so a power loss still charges
+// them and no caller acks them.
+func TestCommitFsyncFailureIsNotDurable(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{Policy: FsyncAlways})
+	l, err := s.OpenGroup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, l, entry(1, 1, "synced"))
+	if err := l.Append(entry(1, 2, "unsynced")); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	durable := l.durable
+	_ = l.f.Close() // every later Sync fails
+	l.mu.Unlock()
+	if err := l.Commit(); err == nil {
+		t.Fatal("Commit succeeded although the fsync failed")
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.durable != durable || !l.dirty {
+		t.Errorf("after a failed fsync: durable %d (was %d), dirty %v; want unchanged and dirty", l.durable, durable, l.dirty)
+	}
+}

@@ -13,6 +13,12 @@ type epMetrics struct {
 	dialFailures *obs.Counter
 	writeErrors  *obs.Counter
 
+	// Peer-down hints: probe dials after an identified inbound
+	// connection ended, and the refused ones that queued a hint. Probes
+	// stay out of the dial and drop counters above — they carry no data.
+	peerProbes *obs.Counter
+	peerDown   *obs.Counter
+
 	// framesPerWrite records the realised batching factor per flush.
 	framesPerWrite *obs.Histogram
 
@@ -40,6 +46,8 @@ func newEpMetrics(reg *obs.Registry) epMetrics {
 		dialAttempts:    reg.Counter("newtop_tcpnet_dial_attempts_total"),
 		dialFailures:    reg.Counter("newtop_tcpnet_dial_failures_total"),
 		writeErrors:     reg.Counter("newtop_tcpnet_write_errors_total"),
+		peerProbes:      reg.Counter("newtop_tcpnet_peer_probes_total"),
+		peerDown:        reg.Counter("newtop_tcpnet_peer_down_total"),
 		framesPerWrite:  reg.Histogram("newtop_tcpnet_frames_per_write"),
 		backoffPeers:    reg.Gauge("newtop_tcpnet_backoff_peers"),
 		bufBase:         reg.Counter(`newtop_tcpnet_recv_buf_gets_total{tier="base"}`),

@@ -10,15 +10,24 @@
 // failure models a link cut: queued and in-flight messages to that peer are
 // dropped (the asynchronous-network loss semantics), and the next send
 // attempts a fresh connection.
+//
+// A connection that ends is also evidence: when a peer's inbound
+// connection closes and one probe dial to its address is refused, the
+// peer's process is gone (its host still answers, nobody listens), and
+// the endpoint queues a peer-down hint (transport.Inbound.Down) behind the
+// peer's last frame. Every other outcome — a probe that connects or times
+// out — is left to the protocol's time-silence suspector.
 package tcpnet
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"newtop/internal/obs"
@@ -148,7 +157,7 @@ func (ep *Endpoint) Send(dest types.ProcessID, m *types.Message) error {
 	if dest == ep.cfg.Self {
 		// Self-delivery short-circuits the network; the clone owns its
 		// memory, so no buffer reference travels with it.
-		ep.push(ep.cfg.Self, m.Clone(), nil)
+		ep.push(transport.Inbound{From: ep.cfg.Self, Msg: m.Clone()})
 		return nil
 	}
 	ep.mu.Lock()
@@ -223,12 +232,11 @@ func (ep *Endpoint) isClosed() bool {
 	}
 }
 
-// push enqueues an inbound message; buf (may be nil) is the borrowed
-// transport buffer whose reference travels with it.
-func (ep *Endpoint) push(from types.ProcessID, m *types.Message, buf *wire.Buf) {
+// push enqueues an inbound message (or peer-down hint); in.Buf (may be
+// nil) is the borrowed transport buffer whose reference travels with it.
+func (ep *Endpoint) push(in transport.Inbound) {
 	ep.recvMu.Lock()
 	defer ep.recvMu.Unlock()
-	in := transport.Inbound{From: from, Msg: m, Buf: buf}
 	if ep.isClosed() {
 		in.Release()
 		return
@@ -355,9 +363,47 @@ func (ep *Endpoint) readLoop(conn net.Conn) {
 			}
 		}
 		if err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) {
+				ep.probePeer(from)
+			}
 			return
 		}
 	}
+}
+
+// probePeer runs after an identified peer's inbound connection ended with
+// EOF or a reset: one dial to the peer's listen address, sending no hello
+// (so the peer never takes the probe for a peer connection, and never
+// probes back). A refused dial means the peer's process is gone, and a
+// peer-down hint is queued behind the connection's last frame. A probe
+// that connects (the peer merely dropped its outbound connection), times
+// out (a host crash or partition) or fails any other way queues nothing.
+func (ep *Endpoint) probePeer(p types.ProcessID) {
+	addr, known := ep.cfg.Peers[p]
+	if !known || ep.isClosed() {
+		return
+	}
+	ep.om.peerProbes.Inc()
+	ctx, cancel := context.WithTimeout(context.Background(), ep.cfg.DialTimeout)
+	defer cancel()
+	go func() { // Close must not wait out a probe's dial timeout
+		select {
+		case <-ep.done:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err == nil {
+		_ = conn.Close()
+		return
+	}
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		return
+	}
+	ep.om.peerDown.Inc()
+	ep.push(transport.Inbound{From: p, Down: true})
 }
 
 // frameSize returns the total framed size (header + body) of the frame at
@@ -390,7 +436,7 @@ func (ep *Endpoint) parseFrames(from types.ProcessID, cur *wire.Buf, start, end 
 			return start, fmt.Errorf("tcpnet decode: %w", err)
 		}
 		cur.Retain()
-		ep.push(from, m, cur)
+		ep.push(transport.Inbound{From: from, Msg: m, Buf: cur})
 		start += total
 	}
 	return start, nil

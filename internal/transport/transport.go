@@ -38,8 +38,14 @@ var (
 // retains past that point must be sealed first with Msg.Own(). A nil Buf
 // means Msg owns its memory outright (self-delivery, or a transport that
 // copies).
+//
+// Down marks a peer-down hint instead of a message (Msg and Buf nil): the
+// transport has evidence that From's process is gone — its connection
+// ended and its address refuses new ones. The hint is queued behind the
+// last message received from From, so everything From sent precedes it.
 type Inbound struct {
 	From types.ProcessID
+	Down bool // beside From, so the hint adds no bytes to every Inbound
 	Msg  *types.Message
 	Buf  *wire.Buf
 }

@@ -140,7 +140,10 @@ type Config struct {
 	// the main latency/overhead dial. Zero selects 50ms.
 	Omega time.Duration
 	// SuspicionTimeout is Ω (§5.2): silence beyond this raises a failure
-	// suspicion. Zero selects 5ω. Must exceed Omega.
+	// suspicion. Zero selects 5ω. Must exceed Omega. Over TCP a peer
+	// whose process exits is suspected sooner, as soon as its connection
+	// closes and its port refuses a probe; Ω remains the bound for host
+	// crashes and partitions.
 	SuspicionTimeout time.Duration
 	// FormationTimeout bounds the group-formation vote phase (§5.3).
 	// Zero selects 20ω.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -255,6 +256,96 @@ func TestPublicAPIOverTCP(t *testing.T) {
 			if got[k] != ref[k] {
 				t.Fatalf("TCP order diverges: %v vs %v", got, ref)
 			}
+		}
+	}
+}
+
+// TestPublicAPIPeerDownOverTCP closes one of three processes on loopback
+// TCP: its sockets close and its port refuses, so the survivors suspect
+// it from the transport's peer-down hint instead of waiting out Ω of
+// silence, and exclude it.
+func TestPublicAPIPeerDownOverTCP(t *testing.T) {
+	addrs := make(map[newtop.ProcessID]string)
+	for id := newtop.ProcessID(1); id <= 3; id++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[id] = ln.Addr().String()
+		_ = ln.Close()
+	}
+	var procs []*newtop.Process
+	for id := newtop.ProcessID(1); id <= 3; id++ {
+		peers := make(map[newtop.ProcessID]string)
+		for pid, a := range addrs {
+			if pid != id {
+				peers[pid] = a
+			}
+		}
+		p, err := newtop.Start(newtop.Config{
+			Self: id, ListenAddr: addrs[id], Peers: peers, Omega: 50 * time.Millisecond,
+		})
+		if err != nil {
+			for _, q := range procs {
+				_ = q.Close()
+			}
+			t.Skipf("reserved port taken: %v", err)
+		}
+		procs = append(procs, p)
+	}
+	defer func() {
+		for _, p := range procs {
+			_ = p.Close()
+		}
+	}()
+	members := []newtop.ProcessID{1, 2, 3}
+	for _, p := range procs {
+		if err := p.BootstrapGroup(1, newtop.Symmetric, members); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range procs {
+		if err := p.Submit(1, []byte(fmt.Sprintf("from-%v", p.Self()))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range procs {
+		for k := 0; k < 3; k++ {
+			select {
+			case <-p.Deliveries():
+			case <-time.After(15 * time.Second):
+				t.Fatalf("%v: TCP delivery timed out", p.Self())
+			}
+		}
+	}
+
+	if err := procs[2].Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range procs[:2] {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			v, err := p.View(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Contains(3) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%v never excluded the closed P3: %v", p.Self(), v)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		snap := p.Metrics()
+		if n := snap.Counters[`newtop_suspicions_total{source="peer_down"}`]; n == 0 {
+			t.Errorf("%v: no peer_down suspicion", p.Self())
+		}
+		if n := snap.Counters[`newtop_suspicions_total{source="silence"}`]; n != 0 {
+			t.Errorf("%v: %d silence suspicions, want 0", p.Self(), n)
+		}
+		if n := snap.Counters["newtop_tcpnet_peer_down_total"]; n == 0 {
+			t.Errorf("%v: tcpnet queued no peer-down hint", p.Self())
 		}
 	}
 }
