@@ -22,12 +22,8 @@
 //
 //	newtop-bench -perf-gate BENCH_core.json
 //
-// Open-loop capacity harness (offered-load latency and SLO saturation
-// against a real 3-daemon TCP fleet):
-//
-//	newtop-bench -capacity                          # smoke + rate ladder + saturation search, write BENCH_capacity.json
-//	newtop-bench -capacity -capacity-smoke          # just the pinned smoke point (CI-sized)
-//	newtop-bench -capacity-gate BENCH_capacity.json # re-measure smoke, fail on >2x p99 regression
+// End-to-end latency, failover and their per-layer budget are measured by
+// the repository benchmark (perfbench/, see its README), not here.
 package main
 
 import (
@@ -38,7 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"newtop/internal/capacity"
 	"newtop/internal/harness"
 	"newtop/internal/perf"
 )
@@ -58,8 +53,8 @@ func experiments() []experiment {
 		{"R2", "rsm divergence detection across a healed partition", harness.R2PartitionDivergence},
 		{"R3", "rsm partition reconciliation: digest diff → merged successor group", harness.R3PartitionReconciliation},
 		{"R4", "client routing & failover under daemon kill + partition/heal (wall clock)", harness.R4ClientFailover},
-		{"R5", "live shard-range move under open-loop load: zero acked-write loss, epoch re-route (wall clock)", harness.R5ShardMove},
-		{"R6", "kill -9 + WAL recovery under open-loop load: zero acked-write loss, reconcile fast-path rejoin (wall clock)", harness.R6CrashRecovery},
+		{"R5", "live shard-range move under background writes: zero acked-write loss, epoch re-route (wall clock)", harness.R5ShardMove},
+		{"R6", "kill -9 + WAL recovery under background writes: zero acked-write loss, reconcile fast-path rejoin (wall clock)", harness.R6CrashRecovery},
 		{"X1", "§5 ex.1 joint failure, orphan erased", harness.X1JointFailure},
 		{"X2", "§5 ex.2 MD5' partition exclusion", harness.X2CausalChain},
 		{"X3", "§5 ex.3 concurrent subgroup views", harness.X3ConcurrentViews},
@@ -104,11 +99,6 @@ func run(args []string) error {
 	gate := fs.String("perf-gate", "", "re-measure the gated benchmarks against this baseline report and fail on regression (CI)")
 	gateBench := fs.String("perf-gate-bench", "", "gate only this benchmark (ns/op) instead of the default check set")
 	gateFactor := fs.Float64("perf-gate-factor", 2.0, "maximum allowed ratio versus the baseline (overrides every default check's factor when set)")
-	capRun := fs.Bool("capacity", false, "run the open-loop capacity harness against the 3-daemon TCP fleet")
-	capSmoke := fs.Bool("capacity-smoke", false, "with -capacity: measure only the pinned smoke point (CI-sized, seconds)")
-	capOut := fs.String("capacity-out", "BENCH_capacity.json", "output path for -capacity results")
-	capSeed := fs.Int64("capacity-seed", 1, "seed for the capacity fleet, op mix and arrival schedules")
-	capGate := fs.String("capacity-gate", "", "re-measure the capacity smoke point against this baseline report and fail on >2x p99 regression (CI)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -149,12 +139,6 @@ func run(args []string) error {
 	}
 	if *perfRun {
 		return runPerf(*perfOut, *perfBase, *perfNote)
-	}
-	if *capGate != "" {
-		return runCapacityGate(*capGate, *capSeed)
-	}
-	if *capRun {
-		return runCapacity(*capOut, *capSeed, *capSmoke)
 	}
 	exps := experiments()
 	if *list {
@@ -221,52 +205,5 @@ func runPerf(out, baselinePath, note string) error {
 		return err
 	}
 	fmt.Printf("wrote %s (%d benchmarks)\n", out, len(results))
-	return nil
-}
-
-// runCapacity boots each suite fleet (single-group baseline, ring
-// dissemination, sharded) and measures it open-loop: always the pinned
-// smoke point, plus (unless smokeOnly) the offered-rate ladder and the
-// SLO saturation search. Results land in BENCH_capacity.json.
-func runCapacity(out string, seed int64, smokeOnly bool) error {
-	mode := "smoke + ladder + saturation search"
-	if smokeOnly {
-		mode = "smoke only"
-	}
-	fmt.Printf("Newtop open-loop capacity harness (TCP fleets, %s)\n", mode)
-	results, err := capacity.RunSuite(capacity.SuiteConfig{
-		SmokeOnly: smokeOnly,
-		Progress:  os.Stdout,
-		Seed:      seed,
-	})
-	if err != nil {
-		return err
-	}
-	report := capacity.NewReport(results)
-	if err := capacity.WriteReport(out, report); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d configs)\n", out, len(results))
-	return nil
-}
-
-// runCapacityGate re-measures the pinned smoke point of every baseline
-// config on a fresh fleet and fails on a p99 regression beyond 2x the
-// baseline (plus a small absolute slack — see capacity.Gate), on any
-// smoke-rate errors or stranded ops, or on unexplained drops.
-func runCapacityGate(baselinePath string, seed int64) error {
-	baseline, err := capacity.LoadReport(baselinePath)
-	if err != nil {
-		return fmt.Errorf("load capacity baseline: %w", err)
-	}
-	results, err := capacity.RunGate(baseline, capacity.SuiteConfig{Seed: seed})
-	for _, r := range results {
-		fmt.Printf("capacity gate: %s smoke @ %.0f ops/s p99=%v (completed %d/%d)\n",
-			r.Name, capacity.SmokeRate, r.Fresh.P99, r.Fresh.Completed, r.Fresh.Scheduled)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("capacity gate ok: %d configs within budget of baseline\n", len(results))
 	return nil
 }

@@ -22,40 +22,40 @@
 // The first body byte is the status; the rest depends on it:
 //
 //	StOK         u8 found | u32 valLen | val
-//	StNotServing u64 group | u16 addrLen | addr
-//	             [| u64 epoch | u64 rangeLo | u64 rangeHi]
+//	StNotServing u64 group | u16 addrLen | addr |
+//	             u64 epoch | u64 rangeLo | u64 rangeHi
 //	             — redirect: this daemon cannot serve; group names the
 //	             serving group it knows of, addr (may be empty) is another
-//	             daemon's client address. The bracketed tail is the v2
-//	             "wrong shard" hint: when epoch > 0 the redirect carries
-//	             the shard-map version and the hash arc [rangeLo, rangeHi)
-//	             (rangeHi 0 = ring top) the named group owns, so the
-//	             client can cache the route for every key in the arc and
-//	             drop stale routes on an epoch bump. Encoders always
-//	             append the tail; decoders read it only when the bytes
-//	             are present, so either side may lag the other.
+//	             daemon's client address. When epoch > 0 the redirect is
+//	             a "wrong shard" hint: it carries the shard-map version
+//	             and the hash arc [rangeLo, rangeHi) (rangeHi 0 = ring
+//	             top) the named group owns, so the client can cache the
+//	             route for every key in the arc and drop stale routes on
+//	             an epoch bump
 //	StRetry      u32 afterMillis | u16 reasonLen | reason — transient: the
 //	             daemon is mid-catch-up/reconcile/cut-over; retry HERE
 //	StStatus     u32 self | u64 group | u64 applied | u64 digest |
-//	             u32 keys | u8 ready | u32 members
-//	             [| u64 delivered | u64 drops | u64 queueDepth]
-//	             [| u8 durable | u64 walGroup | u64 walIndex |
-//	                u64 snapGroup | u64 snapIndex]
-//	             — the bracketed tails are the v2 observability and v3
-//	             durability extensions: encoders always append them,
-//	             decoders read each only when its bytes are present, so
-//	             either side may lag the other by any number of versions
+//	             u32 keys | u8 ready | u32 members |
+//	             u64 delivered | u64 drops | u64 queueDepth |
+//	             u8 durable | u64 walGroup | u64 walIndex |
+//	             u64 snapGroup | u64 snapIndex
 //	StErr        u16 msgLen | msg                    — the request itself
 //	             was malformed; retrying is pointless
 //	StUnknown    u16 msgLen | msg                    — a write was proposed
 //	             but its application could not be confirmed; the outcome
 //	             is ambiguous (clients surface ErrUnacked, never resend
 //	             automatically)
+//
+// Client and daemon ship in one module, so each body has exactly one
+// layout. A decoder reads every field; a body that ends early, carries
+// bytes past its last field, or holds a flag byte other than 0 or 1 is
+// an error. Whatever the decoders accept re-encodes to the same bytes.
 package clientproto
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -117,10 +117,9 @@ type Response struct {
 	Group uint64
 	// StNotServing: another daemon's client address ("" when unknown)
 	Addr string
-	// StNotServing v2 "wrong shard" tail (zero when talking to a
-	// pre-sharding daemon, or when the redirect is a lineage redirect
-	// rather than a shard-routing one): the shard-map epoch the hint is
-	// valid at and the hash arc the named group owns.
+	// StNotServing "wrong shard" hint (zero when the redirect is a
+	// lineage redirect rather than a shard-routing one): the shard-map
+	// epoch the hint is valid at and the hash arc the named group owns.
 	Epoch   uint64
 	RangeLo uint64
 	RangeHi uint64 // exclusive; 0 means the top of the hash ring
@@ -141,19 +140,17 @@ type Response struct {
 	// partition it can drop to 1.
 	Members uint32
 
-	// StStatus v2 observability tail (zero when talking to a pre-v2
-	// daemon): total-order deliveries this process has emitted, messages
-	// silently dropped across all layers, and the engine's
-	// received-but-undelivered queue depth.
+	// StStatus observability: total-order deliveries this process has
+	// emitted, messages silently dropped across all layers, and the
+	// engine's received-but-undelivered queue depth.
 	Delivered  uint64
 	Drops      uint64
 	QueueDepth uint64
 
-	// StStatus v3 durability tail (zero when talking to a pre-v3
-	// daemon): whether the daemon runs with a data directory, the
-	// serving group's last WAL-appended log position and its latest
-	// snapshot cut. Positions are (group incarnation, delivery index);
-	// all-zero means no position yet (or durability off — check
+	// StStatus durability: whether the daemon runs with a data
+	// directory, the serving group's last WAL-appended log position and
+	// its latest snapshot cut. Positions are (group incarnation, delivery
+	// index); all-zero means no position yet (or durability off — check
 	// Durable).
 	Durable   bool
 	WALGroup  uint64
@@ -275,6 +272,7 @@ func ParseRequest(body []byte) (Request, error) {
 	req.Op = d.u8()
 	req.Key = d.string16()
 	req.Value = d.string32()
+	d.end()
 	if d.err != nil {
 		return Request{}, fmt.Errorf("clientproto: bad request: %w", d.err)
 	}
@@ -291,17 +289,14 @@ func ParseResponse(body []byte) (Response, error) {
 	resp.Status = d.u8()
 	switch resp.Status {
 	case StOK:
-		resp.Found = d.u8() != 0
+		resp.Found = d.bool()
 		resp.Value = d.string32()
 	case StNotServing:
 		resp.Group = d.u64()
 		resp.Addr = d.string16()
-		// v2 shard-hint tail: optional — absent from pre-sharding daemons.
-		if d.err == nil && len(d.buf) >= 24 {
-			resp.Epoch = d.u64()
-			resp.RangeLo = d.u64()
-			resp.RangeHi = d.u64()
-		}
+		resp.Epoch = d.u64()
+		resp.RangeLo = d.u64()
+		resp.RangeHi = d.u64()
 	case StRetry:
 		resp.RetryAfter = time.Duration(d.u32()) * time.Millisecond
 		resp.Reason = d.string16()
@@ -311,27 +306,22 @@ func ParseResponse(body []byte) (Response, error) {
 		resp.Applied = d.u64()
 		resp.Digest = d.u64()
 		resp.Keys = d.u32()
-		resp.Ready = d.u8() != 0
+		resp.Ready = d.bool()
 		resp.Members = d.u32()
-		// v2 observability tail: optional — absent from pre-v2 daemons.
-		if d.err == nil && len(d.buf) >= 24 {
-			resp.Delivered = d.u64()
-			resp.Drops = d.u64()
-			resp.QueueDepth = d.u64()
-		}
-		// v3 durability tail: optional — absent from pre-v3 daemons.
-		if d.err == nil && len(d.buf) >= 33 {
-			resp.Durable = d.u8() != 0
-			resp.WALGroup = d.u64()
-			resp.WALIndex = d.u64()
-			resp.SnapGroup = d.u64()
-			resp.SnapIndex = d.u64()
-		}
+		resp.Delivered = d.u64()
+		resp.Drops = d.u64()
+		resp.QueueDepth = d.u64()
+		resp.Durable = d.bool()
+		resp.WALGroup = d.u64()
+		resp.WALIndex = d.u64()
+		resp.SnapGroup = d.u64()
+		resp.SnapIndex = d.u64()
 	case StErr, StUnknown:
 		resp.Err = d.string16()
 	default:
 		return Response{}, fmt.Errorf("clientproto: unknown status %d", resp.Status)
 	}
+	d.end()
 	if d.err != nil {
 		return Response{}, fmt.Errorf("clientproto: bad response: %w", d.err)
 	}
@@ -356,13 +346,24 @@ func b2u8(b bool) byte {
 }
 
 // decoder is a tiny cursor with sticky errors; every accessor returns the
-// zero value after the first short read.
+// zero value after the first error.
 type decoder struct {
 	buf []byte
 	err error
 }
 
-var errShort = fmt.Errorf("truncated field")
+var (
+	errShort    = errors.New("truncated field")
+	errTrailing = errors.New("trailing bytes")
+	errFlag     = errors.New("flag byte not 0 or 1")
+)
+
+// end fails the decode when bytes remain past the last field.
+func (d *decoder) end() {
+	if d.err == nil && len(d.buf) > 0 {
+		d.err = errTrailing
+	}
+}
 
 func (d *decoder) take(n int) []byte {
 	if d.err != nil || len(d.buf) < n {
@@ -380,6 +381,15 @@ func (d *decoder) u8() byte {
 		return 0
 	}
 	return b[0]
+}
+
+// bool reads a flag byte, which must be 0 or 1.
+func (d *decoder) bool() bool {
+	b := d.u8()
+	if b > 1 && d.err == nil {
+		d.err = errFlag
+	}
+	return b == 1
 }
 
 func (d *decoder) u32() uint32 {

@@ -168,61 +168,31 @@ func TestValidKeyAndValueBounds(t *testing.T) {
 	}
 }
 
-// TestNotServingShardTailCompat pins the v2 wire extension contract: a
-// pre-sharding NOT_SERVING frame (no tail bytes) still parses with a
-// zero epoch, and a v2 frame parsed field-by-field lands the tail where
-// the encoder put it.
-func TestNotServingShardTailCompat(t *testing.T) {
-	// Hand-build the v1 frame body: status | group | addrLen | addr.
-	body := []byte{StNotServing}
-	body = append(body, 0, 0, 0, 0, 0, 0, 0, 9) // group 9
-	addr := "host:1234"
-	body = append(body, 0, byte(len(addr)))
-	body = append(body, addr...)
-	got, err := ParseResponse(body)
-	if err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
+// TestParseRejectsCutAndPaddedBodies pins the one exact layout per
+// status: a body cut inside its last fields, or carrying bytes past them,
+// is an error rather than a response with zeroed fields.
+func TestParseRejectsCutAndPaddedBodies(t *testing.T) {
+	status := body(AppendResponse(nil, &Response{Status: StStatus, Self: 3, Group: 9,
+		Applied: 50, Ready: true, Members: 3, Durable: true, WALGroup: 9, WALIndex: 50}))
+	redirect := body(AppendResponse(nil, &Response{Status: StNotServing, Group: 7,
+		Addr: "host:1234", Epoch: 2, RangeLo: 1 << 62, RangeHi: 1 << 63}))
+	for name, b := range map[string][]byte{
+		"STATUS cut 10 bytes into its durability fields": status[:len(status)-33+10],
+		"STATUS cut inside its durability fields":        status[:len(status)-10],
+		"STATUS without its durability fields":           status[:len(status)-33],
+		"NOT_SERVING cut inside its shard fields":        redirect[:len(redirect)-5],
+		"NOT_SERVING without its shard fields":           redirect[:len(redirect)-24],
+		"STATUS with a trailing byte":                    append(bytes.Clone(status), 0),
+		"NOT_SERVING with a trailing byte":               append(bytes.Clone(redirect), 0),
+		"OK with a found flag of 2":                      {StOK, 2, 0, 0, 0, 0},
+		"OK with a trailing byte":                        {StOK, 1, 0, 0, 0, 0, 0},
+	} {
+		if resp, err := ParseResponse(b); err == nil {
+			t.Errorf("%s: accepted as %+v", name, resp)
+		}
 	}
-	if got.Group != 9 || got.Addr != addr || got.Epoch != 0 || got.RangeLo != 0 || got.RangeHi != 0 {
-		t.Fatalf("v1 frame misparsed: %+v", got)
-	}
-}
-
-// TestStatusDurabilityTailCompat pins the v3 wire extension contract: a
-// v2 STATUS frame (observability tail but no durability tail) parses
-// with zero durability fields, and the durability tail sits at the very
-// end of the frame where a v2 decoder simply never looks.
-func TestStatusDurabilityTailCompat(t *testing.T) {
-	full := Response{Status: StStatus, Self: 3, Group: 9, Applied: 50,
-		Digest: 0xfeed, Keys: 10, Ready: true, Members: 3,
-		Delivered: 77, Drops: 1, QueueDepth: 4,
-		Durable: true, WALGroup: 9, WALIndex: 50, SnapGroup: 9, SnapIndex: 32}
-	frame := AppendResponse(nil, &full)
-	body := frame[4:] // strip the length header
-
-	// Chop the 33-byte durability tail: what a v2 daemon would send.
-	v2 := body[:len(body)-33]
-	got, err := ParseResponse(v2)
-	if err != nil {
-		t.Fatalf("v2 frame rejected: %v", err)
-	}
-	if got.Delivered != 77 || got.QueueDepth != 4 {
-		t.Fatalf("v2 observability tail misparsed: %+v", got)
-	}
-	if got.Durable || got.WALGroup != 0 || got.WALIndex != 0 || got.SnapGroup != 0 || got.SnapIndex != 0 {
-		t.Fatalf("v2 frame grew durability fields: %+v", got)
-	}
-
-	// Also chop the v2 tail: a v1 daemon's frame still parses clean.
-	v1 := body[:len(v2)-24]
-	got, err = ParseResponse(v1)
-	if err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
-	}
-	if got.Delivered != 0 || got.Durable {
-		t.Fatalf("v1 frame grew tail fields: %+v", got)
-	}
-	if got.Applied != 50 || got.Digest != 0xfeed {
-		t.Fatalf("v1 frame misparsed: %+v", got)
+	put := body(AppendRequest(nil, &Request{Op: OpPut, Key: "k", Value: "v"}))
+	if req, err := ParseRequest(append(bytes.Clone(put), 'x')); err == nil {
+		t.Errorf("request with a trailing byte accepted as %+v", req)
 	}
 }

@@ -188,9 +188,13 @@ func TestSupersededGroupLeftAfterCutover(t *testing.T) {
 	})
 	// And the regression count: post-cutover traffic in the old group is
 	// zero — the send counter freezes.
-	before := [2]uint64{ds[1].Proc().GroupSends(1), ds[2].Proc().GroupSends(1)}
+	g1Sends := func() [2]uint64 {
+		const name = `newtop_node_group_sends_total{group="1"}`
+		return [2]uint64{ds[1].Proc().Metrics().Counters[name], ds[2].Proc().Metrics().Counters[name]}
+	}
+	before := g1Sends()
 	time.Sleep(200 * time.Millisecond) // >13ω of would-be null traffic
-	after := [2]uint64{ds[1].Proc().GroupSends(1), ds[2].Proc().GroupSends(1)}
+	after := g1Sends()
 	if before != after {
 		t.Fatalf("old group still multicasting after cut-over: %v -> %v", before, after)
 	}

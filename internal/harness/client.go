@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"newtop"
@@ -303,8 +302,9 @@ func R4ClientFailover() (*Table, error) {
 		out := make(map[newtop.ProcessID]uint64, len(survivors))
 		for _, id := range survivors {
 			var total uint64
+			counters := daemons[id].Proc().Metrics().Counters
 			for g := newtop.GroupID(1); g < mergedGroup; g++ {
-				total += daemons[id].Proc().GroupSends(g)
+				total += counters[fmt.Sprintf(`newtop_node_group_sends_total{group="%d"}`, g)]
 			}
 			out[id] = total
 		}
@@ -333,30 +333,9 @@ func R4ClientFailover() (*Table, error) {
 			time.Duration(h.P50).Round(time.Microsecond),
 			time.Duration(h.P99).Round(time.Microsecond), h.Count)
 	}
-	explained := map[string]bool{
-		`layer="core",reason="left_group"`:               true,
-		`layer="core",reason="removed_member"`:           true,
-		`layer="core",reason="not_member"`:               true,
-		`layer="core",reason="seq_gap"`:                  true,
-		`layer="core",reason="stale_view"`:               true,
-		`layer="core",reason="group_gone"`:               true,
-		`layer="core",reason="queued_submit_group_gone"`: true,
-		`layer="ring",reason="orphan_evicted"`:           true,
-		`layer="ring",reason="reassembly_abandoned"`:     true,
-	}
-	var explainedDrops uint64
-	for _, id := range survivors {
-		for name, v := range daemons[id].Proc().Metrics().Counters {
-			labels, ok := strings.CutPrefix(name, "newtop_drops_total{")
-			if !ok || v == 0 {
-				continue
-			}
-			labels = strings.TrimSuffix(labels, "}")
-			if !explained[labels] {
-				return nil, fmt.Errorf("harness: R4 unexplained drops at P%d: %s = %d", id, labels, v)
-			}
-			explainedDrops += v
-		}
+	explainedDrops, err := checkDrops(daemons)
+	if err != nil {
+		return nil, fmt.Errorf("harness: R4 %w", err)
 	}
 
 	st := sess.Stats()

@@ -216,7 +216,7 @@ func TestClientFailoverScenario(t *testing.T) {
 }
 
 // TestShardMoveScenario runs the live shard-range move workload (R5): a
-// sharded TCP fleet under open-loop background load while one arc of the
+// sharded fleet under background writes while one arc of the
 // keyspace migrates to a freshly formed group. The scenario asserts its
 // own acceptance bar internally (zero acked-write loss, read-your-writes
 // across the epoch bump, the session re-routes itself, drops explained).
@@ -227,7 +227,7 @@ func TestShardMoveScenario(t *testing.T) {
 }
 
 // TestCrashRecoveryScenario runs the durability workload (R6): daemons
-// with WALs under open-loop load, one killed -9 and restarted from its
+// with WALs under background writes, one killed -9 and restarted from its
 // data dir. The scenario asserts its own acceptance bar internally (zero
 // acked-write loss verified at the restarted daemon, local replay, fast-
 // path rejoin with no snapshot transfer, drops explained).

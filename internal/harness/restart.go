@@ -4,18 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"newtop"
 	"newtop/client"
-	"newtop/internal/capacity"
 	"newtop/internal/daemon"
-	"newtop/internal/workload"
 )
 
 // R6CrashRecovery is the durability workload: real daemons with data
-// directories (WAL + snapshots, fsync=always) under open-loop load, one
+// directories (WAL + snapshots, fsync=always) under background writes, one
 // of them killed -9 mid-run and restarted from its disk. Like R4/R5 it
 // runs the production path on the wall clock; what it adds is the
 // restart: the killed daemon must come back from its own WAL and rejoin
@@ -34,7 +31,7 @@ import (
 //     (crash, drain, formation); unexplained drops fail the run.
 func R6CrashRecovery() (*Table, error) {
 	t := &Table{
-		Title:   "R6 — kill -9 and WAL recovery under open-loop load",
+		Title:   "R6 — kill -9 and WAL recovery under background load",
 		Columns: []string{"metric", "value"},
 		Notes: []string{
 			"3 daemons over memnet, data dirs with fsync=always; kill -9 P3 mid-load, restart from its WAL, rejoin via reconcile fast path",
@@ -142,20 +139,19 @@ func R6CrashRecovery() (*Table, error) {
 		return nil
 	}
 
-	// Background open-loop load across the whole lifecycle, started
-	// before the kill and drained after the rejoin.
+	// Background load across the whole lifecycle, started before the
+	// kill and drained after the rejoin.
 	bgDone := make(chan struct{})
-	var bgRes capacity.DriverResult
+	var bgRes writerResult
 	var bgErr error
 	go func() {
 		defer close(bgDone)
-		bgRes, bgErr = capacity.Run(capacity.DriverConfig{
+		bgRes, bgErr = backgroundWrites(writerConfig{
 			Addrs:        addrList,
 			Sessions:     6,
-			Arrivals:     workload.Poisson{OpsPerSec: 200, Seed: 23},
+			Rate:         200,
 			Duration:     3 * time.Second,
 			DrainTimeout: 20 * time.Second,
-			Seed:         23,
 		})
 	}()
 
@@ -240,38 +236,17 @@ func R6CrashRecovery() (*Table, error) {
 		return nil, fmt.Errorf("harness: R6 fast-path rejoins = %d, want 1", n)
 	}
 
-	// Drain the background driver; its sessions rode the same lifecycle.
+	// Drain the background writer; its sessions rode the same lifecycle.
 	<-bgDone
 	if bgErr != nil {
-		return nil, fmt.Errorf("harness: R6 background driver: %w", bgErr)
+		return nil, fmt.Errorf("harness: R6 background writer: %w", bgErr)
 	}
 
 	// Every drop across the fleet (including the restarted incarnation)
 	// must be explained by the crash/drain/formation lifecycle.
-	explained := map[string]bool{
-		`layer="core",reason="left_group"`:               true,
-		`layer="core",reason="removed_member"`:           true,
-		`layer="core",reason="not_member"`:               true,
-		`layer="core",reason="seq_gap"`:                  true,
-		`layer="core",reason="stale_view"`:               true,
-		`layer="core",reason="group_gone"`:               true,
-		`layer="core",reason="queued_submit_group_gone"`: true,
-		`layer="ring",reason="orphan_evicted"`:           true,
-		`layer="ring",reason="reassembly_abandoned"`:     true,
-	}
-	var explainedDrops uint64
-	for id, d := range daemons {
-		for name, v := range d.Proc().Metrics().Counters {
-			labels, ok := strings.CutPrefix(name, "newtop_drops_total{")
-			if !ok || v == 0 {
-				continue
-			}
-			labels = strings.TrimSuffix(labels, "}")
-			if !explained[labels] {
-				return nil, fmt.Errorf("harness: R6 unexplained drops at P%d: %s = %d", id, labels, v)
-			}
-			explainedDrops += v
-		}
+	explainedDrops, err := checkDrops(daemons)
+	if err != nil {
+		return nil, fmt.Errorf("harness: R6 %w", err)
 	}
 
 	st := sess.Stats()
@@ -286,7 +261,7 @@ func R6CrashRecovery() (*Table, error) {
 	t.AddRow("rejoin path", fmt.Sprintf("fastpath=%d full_transfers=%d",
 		rc["newtop_recovery_fastpath_total"], rc["newtop_recovery_full_transfers_total"]))
 	t.AddRow("WAL fsyncs at restarted daemon", fmt.Sprintf("%d", fsyncs))
-	t.AddRow("background driver", fmt.Sprintf("%d scheduled, %d completed, %d errors, %d unfinished",
+	t.AddRow("background writer", fmt.Sprintf("%d scheduled, %d completed, %d errors, %d unfinished",
 		bgRes.Scheduled, bgRes.Completed, bgRes.Errors, bgRes.Unfinished))
 	t.AddRow("drops (all explained by crash/drain/formation)", fmt.Sprintf("%d", explainedDrops))
 	return t, nil

@@ -8,16 +8,14 @@ import (
 
 	"newtop"
 	"newtop/client"
-	"newtop/internal/capacity"
 	"newtop/internal/types"
-	"newtop/internal/workload"
 )
 
 // R5ShardMove exercises the sharded service under its most delicate
 // operation: a live range move between shard groups while clients keep
 // writing. A 3-daemon fleet serves two shard arcs behind the meta-group
-// shard map; an open-loop background driver offers steady load across the
-// whole keyspace, a tracked verification session writes into both arcs,
+// shard map; a background writer offers steady load across the whole
+// keyspace, a tracked verification session writes into both arcs,
 // and mid-run one arc is migrated to a freshly formed group (snapshot cut
 // at the fence, incumbent seeding, formation, epoch-bumping commit,
 // source purge — §5.3: groups are never rejoined, reconfiguration forms
@@ -38,19 +36,17 @@ import (
 //     (formation, purge, drain); unexplained drops fail the run.
 func R5ShardMove() (*Table, error) {
 	t := &Table{
-		Title:   "R5 — live shard-range move under open-loop load",
+		Title:   "R5 — live shard-range move under background load",
 		Columns: []string{"metric", "value"},
 		Notes: []string{
 			"3 daemons, 2 shard groups (replication 2) + meta group; move one arc to a new group mid-load",
 		},
 	}
-	fleet, err := capacity.StartFleet(capacity.FleetConfig{
-		Seed: 17, Daemons: 3, Shards: 2, Replication: 2,
-	})
+	fleet, err := startFleet(2, 17)
 	if err != nil {
 		return nil, err
 	}
-	defer fleet.Close()
+	defer fleet.close()
 	mid := uint64(1) << 63 // the boundary between the two initial arcs
 
 	sess, err := client.Config{
@@ -58,7 +54,7 @@ func R5ShardMove() (*Table, error) {
 		OpTimeout:       15 * time.Second,
 		FailoverTimeout: 30 * time.Second,
 		RetryWait:       10 * time.Millisecond,
-	}.Dial(fleet.Addrs()...)
+	}.Dial(fleet.addrs...)
 	if err != nil {
 		return nil, err
 	}
@@ -121,20 +117,19 @@ func R5ShardMove() (*Table, error) {
 		return nil
 	}
 
-	// Background open-loop load across the whole keyspace for the entire
+	// Background load across the whole keyspace for the entire
 	// lifecycle, started before the move and drained after it.
 	bgDone := make(chan struct{})
-	var bgRes capacity.DriverResult
+	var bgRes writerResult
 	var bgErr error
 	go func() {
 		defer close(bgDone)
-		bgRes, bgErr = capacity.Run(capacity.DriverConfig{
-			Addrs:        fleet.Addrs(),
+		bgRes, bgErr = backgroundWrites(writerConfig{
+			Addrs:        fleet.addrs,
 			Sessions:     8,
-			Arrivals:     workload.Poisson{OpsPerSec: 250, Seed: 17},
+			Rate:         250,
 			Duration:     3 * time.Second,
 			DrainTimeout: 15 * time.Second,
-			Seed:         17,
 		})
 	}()
 
@@ -162,7 +157,7 @@ func R5ShardMove() (*Table, error) {
 	movedAt := time.Now()
 	go func() {
 		defer close(moveDone)
-		target, moveErr = fleet.Daemon(3).MoveRange(mid, 0, []newtop.ProcessID{3, 1})
+		target, moveErr = fleet.daemons[3].MoveRange(mid, 0, []newtop.ProcessID{3, 1})
 	}()
 	for {
 		select {
@@ -219,14 +214,14 @@ func R5ShardMove() (*Table, error) {
 	// Drain the background load before the final verification sweep.
 	<-bgDone
 	if bgErr != nil {
-		return nil, fmt.Errorf("harness: R5 background driver: %w", bgErr)
+		return nil, fmt.Errorf("harness: R5 background writer: %w", bgErr)
 	}
 	if frac := float64(bgRes.Errors) / float64(bgRes.Scheduled); frac > 0.02 {
 		return nil, fmt.Errorf("harness: R5 background error fraction %.4f (%d of %d) above 2%%",
 			frac, bgRes.Errors, bgRes.Scheduled)
 	}
 	if bgRes.Unfinished > 0 {
-		return nil, fmt.Errorf("harness: R5 background driver stranded %d ops", bgRes.Unfinished)
+		return nil, fmt.Errorf("harness: R5 background writer stranded %d ops", bgRes.Unfinished)
 	}
 
 	// Zero acked-write loss across the whole lifecycle, from whichever
@@ -246,8 +241,8 @@ func R5ShardMove() (*Table, error) {
 
 	// Every drop across the fleet must be explained (formation, purge,
 	// drain); anything else is silent loss.
-	if n, label := fleet.UnexplainedDrops(); n > 0 {
-		return nil, fmt.Errorf("harness: R5 %d unexplained drops (%s)", n, label)
+	if _, err := checkDrops(fleet.daemons); err != nil {
+		return nil, fmt.Errorf("harness: R5 %w", err)
 	}
 
 	st := sess.Stats()
@@ -258,9 +253,9 @@ func R5ShardMove() (*Table, error) {
 	t.AddRow("shard-map epoch", fmt.Sprintf("%d -> %d (session refreshed %d times)", epochBefore, epochAfter, st.ShardRefresh))
 	t.AddRow("read-your-writes across the bump", fmt.Sprintf("%d pre-move keys re-read plain", rywChecked))
 	t.AddRow("session shard-routed ops / redirects / retries", fmt.Sprintf("%d / %d / %d", st.ShardRouted, st.Redirects, st.Retries))
-	t.AddRow("background open-loop ops", fmt.Sprintf("%d completed, %d errors, %d unfinished @ %.0f ops/s offered",
-		bgRes.Completed, bgRes.Errors, bgRes.Unfinished, bgRes.Offered))
-	t.AddRow("background p99 (intended-start)", fmt.Sprintf("%s ms", ms(bgRes.P99)))
+	t.AddRow("background writes", fmt.Sprintf("%d completed, %d errors, %d unfinished @ 250 ops/s offered",
+		bgRes.Completed, bgRes.Errors, bgRes.Unfinished))
+	t.AddRow("background p99 (from slot)", fmt.Sprintf("%s ms", ms(bgRes.P99)))
 	t.AddRow("drops", "all explained (formation/purge/drain)")
 	return t, nil
 }

@@ -108,8 +108,8 @@ type Options struct {
 	RingPullAfter time.Duration
 	// Metrics, when set, receives the node's observability series
 	// (per-group send counters, heal-probe activity, sink reroutes) and is
-	// shared with the ring layer. When nil the node keeps a private
-	// registry so GroupSends still counts.
+	// shared with the ring layer. When nil the node counts into a private
+	// registry.
 	Metrics *obs.Registry
 }
 
@@ -338,16 +338,6 @@ func (n *Node) UnsubscribeGroup(g types.GroupID) error {
 			n.deliveries.push(d)
 		}
 	})
-}
-
-// GroupSends reports how many point-to-point transmissions this node has
-// issued in group g over its lifetime. Monotone; a group that has been
-// drained and left stops counting — which is exactly what callers assert.
-// It is a view over the node's metrics registry.
-func (n *Node) GroupSends(g types.GroupID) uint64 {
-	var v uint64
-	_ = n.call(func() { v = n.sent[g].Value() })
-	return v
 }
 
 // Metrics returns the node's observability registry (never nil).

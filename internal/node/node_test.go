@@ -489,18 +489,19 @@ func TestNodeUnsubscribeReroutesResidue(t *testing.T) {
 	}
 }
 
-// TestNodeGroupSendsStopAfterLeave pins GroupSends as the quiescence
-// probe: a group's transmission count grows while the node participates
-// (ω-nulls at minimum) and freezes once the node leaves it.
+// TestNodeGroupSendsStopAfterLeave pins newtop_node_group_sends_total as
+// the quiescence probe: a group's transmission count grows while the node
+// participates (ω-nulls at minimum) and freezes once the node leaves it.
 func TestNodeGroupSendsStopAfterLeave(t *testing.T) {
 	_, nodes := newTrio(t)
+	sends := nodes[0].Metrics().Counter(`newtop_node_group_sends_total{group="7"}`)
 	for _, n := range nodes {
 		if err := n.BootstrapGroup(7, core.Symmetric, members(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for nodes[0].GroupSends(7) == 0 {
+	for sends.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no traffic ever counted in g7")
 		}
@@ -509,9 +510,9 @@ func TestNodeGroupSendsStopAfterLeave(t *testing.T) {
 	if err := nodes[0].LeaveGroup(7); err != nil {
 		t.Fatal(err)
 	}
-	base := nodes[0].GroupSends(7)
+	base := sends.Value()
 	time.Sleep(100 * time.Millisecond) // 10ω of would-be null traffic
-	if got := nodes[0].GroupSends(7); got != base {
+	if got := sends.Value(); got != base {
 		t.Errorf("left group still sending: %d -> %d", base, got)
 	}
 }

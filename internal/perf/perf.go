@@ -375,9 +375,11 @@ func TCPSendRecv(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer func() { _ = recvEp.Close() }()
+	sendReg := obs.NewRegistry()
 	sendEp, err := tcpnet.New(tcpnet.Config{
 		Self: 1, ListenAddr: "127.0.0.1:0",
-		Peers: map[types.ProcessID]string{2: recvEp.Addr()},
+		Peers:   map[types.ProcessID]string{2: recvEp.Addr()},
+		Metrics: sendReg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -406,7 +408,8 @@ func TCPSendRecv(b *testing.B) {
 		got++
 	}
 	b.StopTimer()
-	if writes, frames := sendEp.BatchStats(); writes > 0 {
+	if writes := sendReg.Counter("newtop_tcpnet_batch_writes_total").Value(); writes > 0 {
+		frames := sendReg.Counter("newtop_tcpnet_frames_sent_total").Value()
 		b.ReportMetric(float64(frames)/float64(writes), "frames/write")
 	}
 }

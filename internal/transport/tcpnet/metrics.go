@@ -2,10 +2,9 @@ package tcpnet
 
 import "newtop/internal/obs"
 
-// epMetrics holds the endpoint's pre-resolved observability handles. The
-// legacy BatchStats/DialStats accessors are thin views over these
-// counters, so an endpoint always carries a registry — a private one when
-// the configuration supplies none.
+// epMetrics holds the endpoint's pre-resolved observability handles. An
+// endpoint always carries a registry: a private one when the
+// configuration supplies none.
 type epMetrics struct {
 	batchWrites  *obs.Counter
 	framesSent   *obs.Counter

@@ -26,6 +26,11 @@ func probes(ep *Endpoint) (probed, down uint64) {
 	return ep.om.peerProbes.Value(), ep.om.peerDown.Value()
 }
 
+// dials reads ep's data-path dial counters.
+func dials(ep *Endpoint) (attempts, failures uint64) {
+	return counter(ep, "newtop_tcpnet_dial_attempts_total"), counter(ep, "newtop_tcpnet_dial_failures_total")
+}
+
 // waitProbes waits until ep has made n probe dials.
 func waitProbes(t *testing.T, ep *Endpoint, n uint64) {
 	t.Helper()
@@ -85,7 +90,7 @@ func TestPeerDownAfterPeerClose(t *testing.T) {
 				}
 				// The refused probe is no data dial: perfbench's drop and
 				// dial accounting must not see it.
-				if att, fail := b.DialStats(); att != 0 || fail != 0 {
+				if att, fail := dials(b); att != 0 || fail != 0 {
 					t.Errorf("probe counted as a data dial: attempts %d, failures %d", att, fail)
 				}
 				return
@@ -184,7 +189,7 @@ func TestProbeAndHellolessConnectionsRaiseNothing(t *testing.T) {
 		t.Errorf("probed peer: %d probes, %d hints; want 0, 0", p, d)
 	}
 	// Probes stay out of the dial counters the data path reports.
-	if att, fail := a.DialStats(); att != 0 || fail != 0 {
+	if att, fail := dials(a); att != 0 || fail != 0 {
 		t.Errorf("probe counted as a data dial: attempts %d, failures %d", att, fail)
 	}
 }

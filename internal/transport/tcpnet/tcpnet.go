@@ -63,8 +63,8 @@ type Config struct {
 	DialBackoff time.Duration
 	// Metrics, when set, receives the endpoint's observability series
 	// (batch/dial counters, frames-per-write histogram, labeled drop
-	// counters, buffer-pool tier hits). When nil the endpoint keeps a
-	// private registry so BatchStats/DialStats still count.
+	// counters, buffer-pool tier hits). When nil the endpoint counts into
+	// a private registry.
 	Metrics *obs.Registry
 }
 
@@ -126,21 +126,6 @@ func New(cfg Config) (*Endpoint, error) {
 
 // Addr returns the actual listen address (useful with ":0").
 func (ep *Endpoint) Addr() string { return ep.ln.Addr().String() }
-
-// BatchStats reports how many framed writes this endpoint has issued and
-// how many frames they carried — frames/writes is the realised batching
-// factor. It is a view over the endpoint's metrics registry.
-func (ep *Endpoint) BatchStats() (writes, frames uint64) {
-	return ep.om.batchWrites.Value(), ep.om.framesSent.Value()
-}
-
-// DialStats reports outbound dial attempts and how many of them failed —
-// under backoff, a dead peer costs one attempt per backoff window, not
-// one per drained burst. It is a view over the endpoint's metrics
-// registry.
-func (ep *Endpoint) DialStats() (attempts, failures uint64) {
-	return ep.om.dialAttempts.Value(), ep.om.dialFailures.Value()
-}
 
 // Self implements transport.Endpoint.
 func (ep *Endpoint) Self() types.ProcessID { return ep.cfg.Self }

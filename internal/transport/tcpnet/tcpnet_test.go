@@ -6,19 +6,21 @@ import (
 	"testing"
 	"time"
 
+	"newtop/internal/obs"
 	"newtop/internal/transport"
 	"newtop/internal/types"
 	"newtop/internal/wire"
 )
 
-// newPair starts two endpoints on loopback that know each other's address.
+// newPair starts two endpoints on loopback that know each other's address,
+// each counting into its own registry.
 func newPair(t *testing.T) (*Endpoint, *Endpoint) {
 	t.Helper()
-	a, err := New(Config{Self: 1, ListenAddr: "127.0.0.1:0"})
+	a, err := New(Config{Self: 1, ListenAddr: "127.0.0.1:0", Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Config{Self: 2, ListenAddr: "127.0.0.1:0"})
+	b, err := New(Config{Self: 2, ListenAddr: "127.0.0.1:0", Metrics: obs.NewRegistry()})
 	if err != nil {
 		_ = a.Close()
 		t.Fatal(err)
@@ -30,6 +32,11 @@ func newPair(t *testing.T) (*Endpoint, *Endpoint) {
 		_ = b.Close()
 	})
 	return a, b
+}
+
+// counter reads one of ep's registry counters.
+func counter(ep *Endpoint, name string) uint64 {
+	return ep.cfg.Metrics.Counter(name).Value()
 }
 
 func msg(sender types.ProcessID, seq uint64, payload string) *types.Message {
@@ -211,11 +218,12 @@ func TestBurstCoalescesIntoFewWrites(t *testing.T) {
 	}
 	// The sender counts a batch after its write returns, so the receiver
 	// can see every frame before the last batch is counted: wait for it.
-	writes, frames := a.BatchStats()
+	frames := counter(a, "newtop_tcpnet_frames_sent_total")
 	for deadline := time.Now().Add(10 * time.Second); frames != count && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
-		writes, frames = a.BatchStats()
+		frames = counter(a, "newtop_tcpnet_frames_sent_total")
 	}
+	writes := counter(a, "newtop_tcpnet_batch_writes_total")
 	if frames != count {
 		t.Fatalf("framesSent = %d, want %d", frames, count)
 	}
@@ -313,6 +321,7 @@ func TestDialBackoffBoundsAttempts(t *testing.T) {
 		Peers:       map[types.ProcessID]string{2: deadAddr},
 		DialTimeout: 200 * time.Millisecond,
 		DialBackoff: backoff,
+		Metrics:     obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +343,8 @@ func TestDialBackoffBoundsAttempts(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	elapsed := time.Since(start)
-	attempts, failures := a.DialStats()
+	attempts := counter(a, "newtop_tcpnet_dial_attempts_total")
+	failures := counter(a, "newtop_tcpnet_dial_failures_total")
 	if allowed := uint64(2 + elapsed/backoff); attempts > allowed {
 		t.Fatalf("dead peer cost %d dial attempts across %d bursts in %v, want <= %d",
 			attempts, bursts, elapsed, allowed)

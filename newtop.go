@@ -329,12 +329,6 @@ func (p *Process) GroupReady(g GroupID) bool { return p.n.GroupReady(g) }
 // Stats snapshots protocol counters.
 func (p *Process) Stats() Stats { return p.n.Stats() }
 
-// GroupSends reports how many point-to-point transmissions this process
-// has issued in group g over its lifetime — an observability hook for
-// verifying that a superseded or departed group has gone quiet (the count
-// freezes once the process leaves g).
-func (p *Process) GroupSends(g GroupID) uint64 { return p.n.GroupSends(g) }
-
 // Metrics snapshots every metric series the process's layers have
 // registered: engine drop/stall counters and depth gauges, ring and
 // transport activity, node probe traffic, replica latencies. Keys are
