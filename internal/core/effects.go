@@ -47,10 +47,14 @@ func (e DeliverEffect) String() string {
 
 // ViewEffect reports the installation of a new membership view for a
 // group. Removed lists the processes excluded relative to the previous
-// view.
+// view. Stable is the group's stability threshold min(SV) over the new
+// view at installation (§5.1): every message numbered at or below it has
+// been received by every member of View, so a runtime need re-send none
+// of them. It is zero for an initial view.
 type ViewEffect struct {
 	View    types.View
 	Removed []types.ProcessID
+	Stable  types.MsgNum
 }
 
 func (ViewEffect) isEffect() {}

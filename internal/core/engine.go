@@ -338,8 +338,8 @@ func (e *Engine) Suspect(now time.Time, p types.ProcessID) []Effect {
 // long a member may stay silent, so answering earlier is always allowed.
 //
 // Runtimes call Flush once they have handled the inbound messages that
-// were ready, so one null answers a whole burst. HandleMessage itself
-// never sends, which keeps the receive path allocation-free.
+// were ready, so one null answers a whole burst. HandleMessage never
+// answers data itself, which keeps the receive path allocation-free.
 //
 // A member answers only once it has heard from every other member of the
 // view. Until then the group is still starting and a peer may not be
@@ -347,6 +347,11 @@ func (e *Engine) Suspect(now time.Time, p types.ProcessID) []Effect {
 // sequence, which the peer takes for a transport loss and answers with a
 // suspicion (onDataPlane). Time-silence paces that first round; the debt
 // is paid at the first Flush after the last member is heard from.
+//
+// A membership detection also triggers a null, without waiting for Flush:
+// a member whose own last number is below the agreed cutoff lnmn sends one
+// as it applies the detection (§5.2 step viii), so no peer's view install
+// waits for this member's time-silence.
 func (e *Engine) Flush(now time.Time) []Effect {
 	if !e.owing {
 		return nil

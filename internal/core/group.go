@@ -23,10 +23,12 @@ const (
 
 // viewInstall is a scheduled update_view(F, N) (§5.2 step viii): install
 // view minus failed once the last message with Num ≤ lnmn has been
-// delivered.
+// delivered. detected is when the detection was applied, the start of the
+// install wait that newtop_engine_view_install_wait_ns measures.
 type viewInstall struct {
-	failed map[types.ProcessID]bool
-	lnmn   types.MsgNum
+	failed   map[types.ProcessID]bool
+	lnmn     types.MsgNum
+	detected time.Time
 }
 
 // confirmRec buffers a received confirmed message whose detection set is

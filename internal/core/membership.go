@@ -316,7 +316,20 @@ func (e *Engine) applyDetection(now time.Time, gs *groupState, detection []types
 		}
 	}
 	e.gDValid = false
-	gs.installs = append(gs.installs, viewInstall{failed: failed, lnmn: lnmn})
+	gs.installs = append(gs.installs, viewInstall{failed: failed, lnmn: lnmn, detected: now})
+	// The view installs once every peer's D passes lnmn, and lnmn is
+	// often the victim's latest time-silence null. A survivor whose own
+	// last number is below it owes nothing under Flush, which answers
+	// peer data only, so without this null every peer would wait for its
+	// next time-silence null, up to ω + ω/2. This member holds the
+	// detection's suspicions with its own ln values, so its clock has
+	// witnessed lnmn and the null is numbered above it. Nulls create no
+	// debt: this costs at most one null per member per detection.
+	if gs.mode == Symmetric && gs.status == statusActive {
+		if self := gs.memberIndex(e.cfg.Self); self >= 0 && gs.mem[self].rv < lnmn {
+			e.sendNull(now, gs)
+		}
+	}
 }
 
 // unrelay undoes the failed sequencer's discarded relays of live origins'

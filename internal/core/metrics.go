@@ -35,11 +35,12 @@ type engMetrics struct {
 	suspectPeerDown *obs.Counter
 	suspectSilence  *obs.Counter
 
-	gcPause    *obs.Histogram // stability-log gc wall time (ns)
-	queueDepth *obs.Gauge     // received-but-undelivered ordered messages
-	arenaLive  *obs.Gauge     // arena slots still held by log/queue
-	arenaGrace *obs.Gauge     // slots released this stimulus, pending promotion
-	logSize    *obs.Gauge     // unstable messages retained across groups
+	gcPause     *obs.Histogram // stability-log gc wall time (ns)
+	installWait *obs.Histogram // detection applied → view installed (ns, runtime clock)
+	queueDepth  *obs.Gauge     // received-but-undelivered ordered messages
+	arenaLive   *obs.Gauge     // arena slots still held by log/queue
+	arenaGrace  *obs.Gauge     // slots released this stimulus, pending promotion
+	logSize     *obs.Gauge     // unstable messages retained across groups
 }
 
 // enabled reports whether any handle is live; finish() skips its gauge
@@ -68,6 +69,7 @@ func newEngMetrics(reg *obs.Registry) engMetrics {
 		suspectPeerDown:  reg.Counter(`newtop_suspicions_total{source="peer_down"}`),
 		suspectSilence:   reg.Counter(`newtop_suspicions_total{source="silence"}`),
 		gcPause:          reg.Histogram("newtop_engine_log_gc_ns"),
+		installWait:      reg.Histogram("newtop_engine_view_install_wait_ns"),
 		queueDepth:       reg.Gauge("newtop_engine_queue_depth"),
 		arenaLive:        reg.Gauge("newtop_engine_arena_live"),
 		arenaGrace:       reg.Gauge("newtop_engine_arena_grace"),

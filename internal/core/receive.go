@@ -377,7 +377,8 @@ func (e *Engine) installView(now time.Time, gs *groupState, ins viewInstall) {
 			delete(gs.votes, s)
 		}
 	}
-	e.emit(ViewEffect{View: gs.view.Clone(), Removed: removed})
+	e.om.installWait.ObserveDuration(now.Sub(ins.detected))
+	e.emit(ViewEffect{View: gs.view.Clone(), Removed: removed, Stable: gs.minSV()})
 
 	// Asymmetric: if the sequencer was excluded, re-unicast every still
 	// unsequenced request to the new sequencer. The lnmn cutoff plus

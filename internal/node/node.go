@@ -708,7 +708,7 @@ func (n *Node) route(effs []core.Effect) {
 			}
 			n.readmit(eff.View.Members)
 			if n.rng != nil {
-				outs, delivers := n.rng.OnViewChange(g, eff.View.Members, eff.Removed)
+				outs, delivers := n.rng.OnViewChange(g, eff.View.Members, eff.Removed, eff.Stable)
 				for _, o := range outs {
 					n.sendInc(o.Msg.Group)
 					_ = n.ep.Send(o.To, o.Msg)
@@ -728,7 +728,7 @@ func (n *Node) route(effs []core.Effect) {
 			if v, err := n.eng.View(eff.Group); err == nil {
 				n.readmit(v.Members)
 				if n.rng != nil {
-					outs, delivers := n.rng.OnViewChange(eff.Group, v.Members, nil)
+					outs, delivers := n.rng.OnViewChange(eff.Group, v.Members, nil, 0)
 					for _, o := range outs {
 						n.sendInc(o.Msg.Group)
 						_ = n.ep.Send(o.To, o.Msg)

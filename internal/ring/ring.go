@@ -18,7 +18,9 @@
 //     gap detection never fires on ring reordering.
 //   - Tick re-requests payloads that never completed (KindRingPull to the
 //     disseminator, served from a bounded cache of recent own sends).
-//   - OnViewChange re-disseminates recent own payloads on the new ring and
+//   - OnViewChange re-disseminates, on the new ring, the recent own
+//     payloads that are not yet stable (numbered above the engine's
+//     min(SV) at install, so some member may still lack them), and
 //     abandons reassembly state owed by removed members; an abandoned
 //     message is ordinary message loss to the engine, which the protocol's
 //     gap/suspicion/refute recovery already handles.
@@ -67,7 +69,8 @@ type Config struct {
 	PullAfter time.Duration
 
 	// MineCap bounds the cache of recent own disseminations kept for pull
-	// replies and view-change re-dissemination. Zero defaults to 32.
+	// replies and for re-sending, at a view change, those still unstable
+	// at the install. Zero defaults to 32.
 	MineCap int
 
 	// Metrics, when set, receives ring observability: dissemination /
@@ -164,7 +167,7 @@ type groupRing struct {
 	seenOrder []types.MessageID
 
 	// mine caches owned clones of recent own disseminations for pull
-	// replies and view-change re-dissemination.
+	// replies and view-change re-dissemination of the unstable ones.
 	mine []*types.Message
 }
 
@@ -518,10 +521,15 @@ func (r *Ring) Tick(now time.Time) (outs []Outbound) {
 // OnViewChange installs the new membership as the ring order, abandons
 // reassembly state owed by removed members (releasing anything queued
 // behind it — to the engine an abandoned reassembly is ordinary message
-// loss), and re-disseminates recent own payloads on the new ring so
-// in-flight messages survive the topology change; receivers dedupe by
-// message ID.
-func (r *Ring) OnViewChange(g types.GroupID, members, removed []types.ProcessID) (outs []Outbound, delivers []Delivered) {
+// loss), and re-disseminates on the new ring the cached own payloads
+// numbered above stable, so in-flight messages survive the topology
+// change; receivers dedupe by message ID. stable is the engine's
+// stability threshold at the install (core.ViewEffect.Stable): every
+// member already holds a payload numbered at or below it, so re-sending
+// it would only load the new ring while the survivors agree. A payload in
+// flight through a removed member is unstable and is re-sent. Pass 0 to
+// re-send the whole cache.
+func (r *Ring) OnViewChange(g types.GroupID, members, removed []types.ProcessID, stable types.MsgNum) (outs []Outbound, delivers []Delivered) {
 	gr := r.group(g)
 	gr.members = append(gr.members[:0], members...)
 	sort.Slice(gr.members, func(i, j int) bool { return gr.members[i] < gr.members[j] })
@@ -542,6 +550,9 @@ func (r *Ring) OnViewChange(g types.GroupID, members, removed []types.ProcessID)
 	if r.cfg.Threshold > 0 && len(gr.members) >= 3 {
 		if succ := successor(gr.members, r.cfg.Self); succ != types.NilProcess {
 			for _, mm := range gr.mine {
+				if mm.Num <= stable {
+					continue
+				}
 				outs = append(outs, Outbound{To: succ, Msg: ringDataFrame(mm, 0)})
 				r.om.redisseminated.Inc()
 			}

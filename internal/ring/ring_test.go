@@ -2,6 +2,7 @@ package ring
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ var t0 = time.Unix(1000, 0)
 
 func newRing(self types.ProcessID, members ...types.ProcessID) *Ring {
 	r := New(Config{Self: self, Threshold: 1024, PullAfter: 100 * time.Millisecond})
-	r.OnViewChange(g, members, nil)
+	r.OnViewChange(g, members, nil, 0)
 	return r
 }
 
@@ -227,7 +228,7 @@ func TestViewChangeFlushesRemovedDisseminator(t *testing.T) {
 	small := dataMsg(1, 2, 16)
 	r.OnReceive(t0, 1, hdrFrame(big))
 	r.OnReceive(t0, 1, small)
-	_, delivers := r.OnViewChange(g, []types.ProcessID{2, 3, 4, 5}, []types.ProcessID{1})
+	_, delivers := r.OnViewChange(g, []types.ProcessID{2, 3, 4, 5}, []types.ProcessID{1}, 0)
 	// The incomplete reassembly is abandoned; the queued message behind it
 	// is released (the engine drops removed-sender traffic itself).
 	if len(delivers) != 1 || delivers[0].Msg.Seq != 2 {
@@ -244,7 +245,7 @@ func TestViewChangeRedisseminates(t *testing.T) {
 	fanOut(r, m, 2, 3, 4)
 	// Successor 2 is removed: the origin re-disseminates on the new ring,
 	// whose successor is 3.
-	outs, _ := r.OnViewChange(g, []types.ProcessID{1, 3, 4}, []types.ProcessID{2})
+	outs, _ := r.OnViewChange(g, []types.ProcessID{1, 3, 4}, []types.ProcessID{2}, 0)
 	if len(outs) != 1 || outs[0].To != 3 || outs[0].Msg.Kind != types.KindRingData {
 		t.Fatalf("want re-dissemination to new successor 3, got %v", outs)
 	}
@@ -253,9 +254,39 @@ func TestViewChangeRedisseminates(t *testing.T) {
 	}
 }
 
+// OnViewChange re-sends exactly the cached own payloads numbered above the
+// engine's stability threshold: every member already holds the rest.
+func TestViewChangeRedisseminatesOnlyUnstable(t *testing.T) {
+	for _, tc := range []struct {
+		stable types.MsgNum
+		want   []uint64 // re-sent sequence numbers, in cache order
+	}{
+		{stable: 0, want: []uint64{1, 2, 3, 4}},
+		{stable: 2, want: []uint64{3, 4}},
+		{stable: 4, want: nil},
+		{stable: 100, want: nil},
+	} {
+		r := newRing(1, 1, 2, 3, 4)
+		for seq := uint64(1); seq <= 4; seq++ {
+			fanOut(r, dataMsg(1, seq, 4096), 2, 3, 4)
+		}
+		outs, _ := r.OnViewChange(g, []types.ProcessID{1, 3, 4}, []types.ProcessID{2}, tc.stable)
+		var got []uint64
+		for _, o := range outs {
+			if o.To != 3 || o.Msg.Kind != types.KindRingData {
+				t.Fatalf("stable=%d: want ring data to the new successor 3, got %v", tc.stable, o)
+			}
+			got = append(got, o.Msg.Seq)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("stable=%d: re-sent %v, want %v", tc.stable, got, tc.want)
+		}
+	}
+}
+
 func TestFallbackWhenViewShrinksBelowRing(t *testing.T) {
 	r := newRing(1, 1, 2, 3)
-	r.OnViewChange(g, []types.ProcessID{1, 2}, []types.ProcessID{3})
+	r.OnViewChange(g, []types.ProcessID{1, 2}, []types.ProcessID{3}, 0)
 	m := dataMsg(1, 1, 4096)
 	outs := fanOut(r, m, 2)
 	if len(outs) != 1 || outs[0].Msg != m {

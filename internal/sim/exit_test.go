@@ -80,6 +80,66 @@ func TestExitExcludesWithinLinkLatencies(t *testing.T) {
 	}
 }
 
+// After agreement, a view installs once every survivor's D passes lnmn,
+// the victim's last number. In a quiet group that is often the victim's
+// latest time-silence null, and a survivor whose own last message is
+// numbered below it owes no prompt null (Flush answers peer data only).
+// The detection itself must make that survivor send one: exclusion then
+// takes a few link latencies instead of waiting for the survivor's next
+// time-silence null, up to ω + ω/2 later.
+func TestExitAfterQuietPhaseSkipsTimeSilence(t *testing.T) {
+	const omega = 200 * time.Millisecond
+	for seed := int64(1); seed <= 5; seed++ {
+		c := sim.New(seed, sim.WithLatency(exitLatMin, exitLatMax), sim.WithTickEvery(time.Millisecond))
+		ps := []types.ProcessID{1, 2, 3, 4}
+		for _, p := range ps {
+			c.AddProcess(core.Config{Self: p, Omega: omega})
+		}
+		if err := c.Bootstrap(1, core.Symmetric, ps); err != nil {
+			t.Fatal(err)
+		}
+		last := make(map[types.ProcessID]types.MsgNum) // highest number each process sent
+		c.CountBytes(func(m *types.Message) int {
+			if (m.Kind == types.KindData || m.Kind == types.KindNull) && m.Num > last[m.Sender] {
+				last[m.Sender] = m.Num
+			}
+			return 0
+		})
+		// P1..P3 send concurrently at 50 ms; only P4 owes them a prompt
+		// null, so its time-silence phase trails theirs by a link latency.
+		// Their nulls at 250 ms precede P4's, which is numbered above all
+		// of them; P4 exits once its null has landed everywhere.
+		for _, p := range ps[:3] {
+			c.At(50*time.Millisecond, func() {
+				if err := c.Submit(p, 1, []byte(fmt.Sprintf("from-%v", p))); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		c.Run(260 * time.Millisecond)
+		for _, p := range ps[:3] {
+			if last[p] >= last[4] {
+				t.Fatalf("seed %d: %v last sent %d, not below P4's %d: the quiet phase did not set up", seed, p, last[p], last[4])
+			}
+		}
+		exit := c.Now()
+		c.Exit(4)
+		c.Run(time.Second)
+		for _, p := range ps[:3] {
+			at, ok := excludedAt(c, p, 1, 4)
+			if !ok {
+				t.Fatalf("seed %d: %v never excluded the exited P4", seed, p)
+			}
+			if took := at.Sub(exit); took > 5*exitLatMax {
+				t.Errorf("seed %d: %v excluded P4 %v after its exit, want ≤ 5 link latencies (%v) ≪ ω (%v)", seed, p, took, 5*exitLatMax, omega)
+			}
+		}
+		if err := check.New(c, []types.ProcessID{4}).All().Err(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
 // A silent crash gives no hint: only Ω of silence suspects the victim, so
 // the backstop still takes at least Ω.
 func TestSilentCrashStillWaitsOmega(t *testing.T) {

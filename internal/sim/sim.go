@@ -649,7 +649,7 @@ func (c *Cluster) route(p types.ProcessID, effs []core.Effect) {
 			h.Views[g] = append(h.Views[g], ViewChange{At: c.now, View: eff.View, Removed: eff.Removed})
 			h.record(Event{At: c.now, Kind: EvView, Group: g, View: eff.View, Removed: eff.Removed})
 			if r := c.rings[p]; r != nil {
-				outs, delivers := r.OnViewChange(g, eff.View.Members, eff.Removed)
+				outs, delivers := r.OnViewChange(g, eff.View.Members, eff.Removed, eff.Stable)
 				for _, o := range outs {
 					c.transmit(p, o.To, o.Msg)
 				}
@@ -663,7 +663,7 @@ func (c *Cluster) route(p types.ProcessID, effs []core.Effect) {
 				// ViewEffect; seed the ring order from the engine (a pure
 				// read, safe mid-batch).
 				if v, err := c.engines[p].View(eff.Group); err == nil {
-					outs, delivers := r.OnViewChange(eff.Group, v.Members, nil)
+					outs, delivers := r.OnViewChange(eff.Group, v.Members, nil, 0)
 					for _, o := range outs {
 						c.transmit(p, o.To, o.Msg)
 					}

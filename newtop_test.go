@@ -260,13 +260,13 @@ func TestPublicAPIOverTCP(t *testing.T) {
 	}
 }
 
-// TestPublicAPIPeerDownOverTCP closes one of three processes on loopback
-// TCP: its sockets close and its port refuses, so the survivors suspect
-// it from the transport's peer-down hint instead of waiting out Ω of
-// silence, and exclude it.
-func TestPublicAPIPeerDownOverTCP(t *testing.T) {
+// startOverTCP starts n processes 1..n over loopback TCP, each built from
+// base with its own ephemeral listen address and the full peer book. The
+// processes close at cleanup.
+func startOverTCP(t *testing.T, n int, base newtop.Config) []*newtop.Process {
+	t.Helper()
 	addrs := make(map[newtop.ProcessID]string)
-	for id := newtop.ProcessID(1); id <= 3; id++ {
+	for id := newtop.ProcessID(1); id <= newtop.ProcessID(n); id++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -275,29 +275,35 @@ func TestPublicAPIPeerDownOverTCP(t *testing.T) {
 		_ = ln.Close()
 	}
 	var procs []*newtop.Process
-	for id := newtop.ProcessID(1); id <= 3; id++ {
-		peers := make(map[newtop.ProcessID]string)
+	t.Cleanup(func() {
+		for _, p := range procs {
+			_ = p.Close()
+		}
+	})
+	for id := newtop.ProcessID(1); id <= newtop.ProcessID(n); id++ {
+		cfg := base
+		cfg.Self, cfg.ListenAddr = id, addrs[id]
+		cfg.Peers = make(map[newtop.ProcessID]string)
 		for pid, a := range addrs {
 			if pid != id {
-				peers[pid] = a
+				cfg.Peers[pid] = a
 			}
 		}
-		p, err := newtop.Start(newtop.Config{
-			Self: id, ListenAddr: addrs[id], Peers: peers, Omega: 50 * time.Millisecond,
-		})
+		p, err := newtop.Start(cfg)
 		if err != nil {
-			for _, q := range procs {
-				_ = q.Close()
-			}
 			t.Skipf("reserved port taken: %v", err)
 		}
 		procs = append(procs, p)
 	}
-	defer func() {
-		for _, p := range procs {
-			_ = p.Close()
-		}
-	}()
+	return procs
+}
+
+// TestPublicAPIPeerDownOverTCP closes one of three processes on loopback
+// TCP: its sockets close and its port refuses, so the survivors suspect
+// it from the transport's peer-down hint instead of waiting out Ω of
+// silence, and exclude it.
+func TestPublicAPIPeerDownOverTCP(t *testing.T) {
+	procs := startOverTCP(t, 3, newtop.Config{Omega: 50 * time.Millisecond})
 	members := []newtop.ProcessID{1, 2, 3}
 	for _, p := range procs {
 		if err := p.BootstrapGroup(1, newtop.Symmetric, members); err != nil {
@@ -346,6 +352,73 @@ func TestPublicAPIPeerDownOverTCP(t *testing.T) {
 		}
 		if n := snap.Counters["newtop_tcpnet_peer_down_total"]; n == 0 {
 			t.Errorf("%v: tcpnet queued no peer-down hint", p.Self())
+		}
+	}
+}
+
+// TestPublicAPIRingExclusionOverTCP closes one of five ring-disseminating
+// processes once every payload is stable. Exclusion must take a round trip
+// after the peer-down hint, not the survivors' time-silence (ω = 200 ms),
+// and no survivor may re-send a payload that every member already holds.
+func TestPublicAPIRingExclusionOverTCP(t *testing.T) {
+	const omega = 200 * time.Millisecond
+	procs := startOverTCP(t, 5, newtop.Config{Omega: omega, RingThreshold: 4 << 10})
+	members := []newtop.ProcessID{1, 2, 3, 4, 5}
+	for _, p := range procs {
+		if err := p.BootstrapGroup(1, newtop.Symmetric, members); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const sends = 40
+	payload := bytes.Repeat([]byte{0xAB}, 16<<10)
+	for i := 0; i < sends; i++ {
+		if err := procs[i%4].Submit(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range procs {
+		for k := 0; k < sends; k++ {
+			select {
+			case <-p.Deliveries():
+			case <-time.After(15 * time.Second):
+				t.Fatalf("%v: ring delivery %d timed out", p.Self(), k)
+			}
+		}
+	}
+	// Stability follows delivery within one time-silence round: each
+	// member's next null carries an LDN above every payload.
+	time.Sleep(3 * omega)
+
+	closed := time.Now()
+	if err := procs[4].Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range procs[:4] {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			v, err := p.View(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Contains(5) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%v never excluded the closed P5: %v", p.Self(), v)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if took := time.Since(closed); took > 50*time.Millisecond {
+			t.Errorf("%v installed the view without P5 %v after the close, want ≤ 50ms (ω = %v)", p.Self(), took, omega)
+		}
+	}
+	for _, p := range procs[:4] {
+		snap := p.Metrics()
+		if n := snap.Counters["newtop_ring_redisseminations_total"]; n != 0 {
+			t.Errorf("%v re-sent %d stable payloads on the view change, want 0", p.Self(), n)
+		}
+		if h := snap.Histograms["newtop_engine_view_install_wait_ns"]; h.Count != 1 {
+			t.Errorf("%v: install-wait histogram holds %d samples, want 1", p.Self(), h.Count)
 		}
 	}
 }
